@@ -18,11 +18,14 @@ keys {command, inputs, k, result, finite, seed, elapsed_ms}.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import sys
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -249,8 +252,6 @@ def canonical(value) -> str:
         return "infinite"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     if isinstance(value, (tuple, list)):
         return ",".join(canonical(v) for v in value)
     return str(value)
@@ -296,8 +297,6 @@ class Outcome:
 
     @property
     def exit_code(self) -> int:
-        if self.summary is not None:
-            return 0 if self.summary["failed"] == 0 else 1
         r = self.result
         if isinstance(r, bool):
             return 0 if r else 1
@@ -306,7 +305,7 @@ class Outcome:
         return 0
 
 
-# -- command line definition ----------------------------------------------------
+# -- command table ------------------------------------------------------------
 
 
 def _nonneg(text: str) -> int:
@@ -319,16 +318,203 @@ def _nonneg(text: str) -> int:
     return value
 
 
-CHECK_NAMES = (
-    "gsv-theorem",
-    "teissier-k",
-    "polar-gsv",
-    "bound",
-    "qh-identity",
-    "second-type",
-    "conjecture1",
-    "ratio",
+def _arg(*flags, **options) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+_K = _arg("--k", type=_nonneg, default=0, help="order k (default 0)")
+_FORMAT = _arg(
+    "--format", choices=("table", "json"), default="table", help="output format"
 )
+_SAMPLES = _arg("--samples", type=_nonneg, default=3)
+_SEED = _arg("--seed", type=int, default=0)
+_FOLIATION = (_arg("--P", required=True), _arg("--Q", required=True))
+_FOLIATION_CURVE = _FOLIATION + (_arg("--f", required=True),)
+_PQF = ("P", "Q", "f")
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One verb or one check name: its arguments and how it is evaluated.
+
+    ``run`` maps the parsed arguments to the result; it reads the reported
+    order as ``args.k`` and the seed as ``args.seed``.  ``inputs`` are the
+    arguments echoed in the JSON ``inputs``, in order, and each must be given
+    (argparse leaves a check's arguments optional); they are echoed as copies,
+    as a list default belongs to the shared parser.  ``k`` gives the reported
+    order, by default ``--k`` where the verb takes one.  Verbs that take
+    ``--seed`` report a seed.  ``gate`` is the ``--assert-...`` flag the row
+    requires and the hypothesis it vouches for, named when the flag is missing.
+    """
+
+    run: "Callable | None"
+    help: "str | None" = None
+    args: tuple = ()
+    inputs: tuple = ()
+    k: "Callable | None" = None
+    gate: "tuple | None" = None
+
+
+def _foliation(args) -> Foliation:
+    return Foliation(parse_poly(args.P), parse_poly(args.Q))
+
+
+def _curve(args) -> CurveGerm:
+    return CurveGerm(parse_poly(args.f))
+
+
+def _vdim(args):
+    gens = [parse_poly(g) for g in args.gens]
+    plus = [parse_poly(g) for g in args.plus]
+    base = Ideal(tuple(gens)) if gens else Ideal.of(Poly.one())
+    ideal = base * maximal_ideal_power(args.mk) + Ideal(tuple(plus))
+    return INFINITE if ideal.is_zero else colength(ideal)
+
+
+def _teissier(args) -> bool:
+    f = parse_poly(args.f)
+    return all(
+        teissier_k_check(f, k, samples=args.samples, seed=args.seed)
+        for k in range(args.k + 1)
+    )
+
+
+def _bound(args) -> bool:
+    F, B0 = _foliation(args), _curve(args)
+    return all(milnor_bound_check(F, B0, k)[3] for k in range(args.k + 1))
+
+
+def _qh_identity(args) -> bool:
+    F, C = _foliation(args), _curve(args)
+    return all(
+        quasihomogeneous_identity_check(F, C, k)[2] for k in range(1, args.k + 1)
+    )
+
+
+def _k_max(args) -> int:
+    return args.k if args.k_max is None else args.k_max
+
+
+CHECKS = {
+    "gsv-theorem": _Row(
+        lambda a: gsv_theorem_check(_foliation(a), _curve(a), a.k),
+        inputs=_PQF, k=_k_max,
+    ),
+    "teissier-k": _Row(_teissier, inputs=("f",), k=_k_max),
+    "polar-gsv": _Row(
+        lambda a: polar_gsv_check(
+            _foliation(a), _curve(a), a.k, samples=a.samples, seed=a.seed
+        ),
+        inputs=_PQF, k=_k_max,
+        gate=("assert-second-type", "non-dicritical second-type hypothesis"),
+    ),
+    "bound": _Row(
+        _bound, inputs=_PQF, k=_k_max,
+        gate=("assert-second-type", "the balanced-divisor hypothesis"),
+    ),
+    "qh-identity": _Row(
+        _qh_identity, inputs=_PQF, k=lambda a: max(1, _k_max(a)),
+        gate=("assert-generalized-curve", "the generalized-curve hypothesis"),
+    ),
+    "second-type": _Row(
+        lambda a: second_type_milnor_check(_foliation(a), _curve(a), a.k),
+        inputs=_PQF, k=_k_max,
+        gate=("assert-second-type", "second-type hypothesis"),
+    ),
+    "conjecture1": _Row(
+        lambda a: check_conjecture1(parse_poly(a.f), a.k), inputs=("f",)
+    ),
+    "ratio": _Row(lambda a: ratio_check(parse_poly(a.f), a.k), inputs=("f",)),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+# ``check`` and ``scenarios`` have no ``run``: ``evaluate`` hands them on.
+VERBS = {
+    "vdim": _Row(
+        _vdim, "colength of <GENS>*m^MK + <PLUS...>",
+        (
+            _arg("gens", nargs="*", help="ideal generators (default: none, i.e. the unit ideal)"),
+            _arg("--mk", type=_nonneg, default=0, help="power of the maximal ideal factor"),
+            _arg("--plus", action="append", default=[], help="extra generator added to the product (repeatable)"),
+        ),
+        inputs=("gens", "plus", "mk"), k=lambda a: a.mk,
+    ),
+    "intersect": _Row(
+        lambda a: intersection_number(parse_poly(a.f), parse_poly(a.g)),
+        "intersection number i(f,g)", (_arg("f"), _arg("g")), inputs=("f", "g"),
+    ),
+    "milnor": _Row(
+        lambda a: milnor_k(parse_poly(a.f), a.k),
+        "k-th Milnor number of a curve germ", (_arg("f"), _K), inputs=("f",),
+    ),
+    "tjurina": _Row(
+        lambda a: tjurina_k(parse_poly(a.f), a.k),
+        "k-th Tjurina number of a curve germ", (_arg("f"), _K), inputs=("f",),
+    ),
+    "fol-milnor": _Row(
+        lambda a: foliation_milnor_k(_foliation(a), a.k),
+        "k-th Milnor number of the foliation P dx + Q dy",
+        _FOLIATION + (_K,), inputs=("P", "Q"),
+    ),
+    "fol-tjurina": _Row(
+        lambda a: foliation_tjurina_k(_foliation(a), _curve(a), a.k),
+        "k-th Tjurina number of a foliation along an invariant curve",
+        _FOLIATION_CURVE + (_K,), inputs=_PQF,
+    ),
+    "gsv": _Row(
+        lambda a: gsv_index(_foliation(a), _curve(a)),
+        "GSV index of a foliation along an invariant reduced curve",
+        _FOLIATION_CURVE, inputs=_PQF,
+    ),
+    "polar": _Row(
+        lambda a: polar_intersection_k(
+            _foliation(a), _curve(a), a.k, samples=a.samples, seed=a.seed
+        ),
+        "k-th polar intersection number at a generic direction",
+        _FOLIATION_CURVE + (_SAMPLES, _SEED, _K), inputs=_PQF + ("samples",),
+    ),
+    "invariant": _Row(
+        lambda a: is_invariant(_foliation(a), _curve(a)),
+        "is the curve invariant by the foliation?",
+        _FOLIATION_CURVE, inputs=_PQF,
+    ),
+    "qh-check": _Row(
+        lambda a: is_quasihomogeneous_foliation(_foliation(a), _curve(a)),
+        "membership f in (P,Q): quasi-homogeneity of the foliation",
+        _FOLIATION_CURVE, inputs=_PQF,
+    ),
+    "check": _Row(
+        None, "verify a named identity",
+        (
+            _arg("name", choices=CHECK_NAMES),
+            _arg("--P"),
+            _arg("--Q"),
+            _arg("--f"),
+            _arg("--k-max", type=_nonneg, default=None, dest="k_max"),
+            _SAMPLES,
+            _SEED,
+            _arg(
+                "--assert-second-type", action="store_true",
+                help="assert the foliation is of second type (required by some checks)",
+            ),
+            _arg(
+                "--assert-generalized-curve", action="store_true",
+                help="assert the foliation is a generalized curve (required by qh-identity)",
+            ),
+            _K,
+        ),
+    ),
+    "scenarios": _Row(
+        None, "run or list the bundled reproduction scenarios",
+        (
+            _arg("action", choices=("run", "list")),
+            _arg("--all", action="store_true", help="run every scenario"),
+            _arg("--filter", default=None, help="substring filter on id and location"),
+            _arg("--registry", default=None, help="path to a scenario registry file"),
+        ),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,322 +527,91 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, k=True, fmt=True):
-        if k:
-            p.add_argument("--k", type=_nonneg, default=0, help="order k (default 0)")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("table", "json"), default="table",
-                help="output format",
-            )
-
-    p = sub.add_parser("vdim", help="colength of <GENS>*m^MK + <PLUS...>")
-    p.add_argument("gens", nargs="*", help="ideal generators (default: none, i.e. the unit ideal)")
-    p.add_argument("--mk", type=_nonneg, default=0, help="power of the maximal ideal factor")
-    p.add_argument("--plus", action="append", default=[], help="extra generator added to the product (repeatable)")
-    common(p, k=False)
-
-    p = sub.add_parser("intersect", help="intersection number i(f,g)")
-    p.add_argument("f")
-    p.add_argument("g")
-    common(p, k=False)
-
-    p = sub.add_parser("milnor", help="k-th Milnor number of a curve germ")
-    p.add_argument("f")
-    common(p)
-
-    p = sub.add_parser("tjurina", help="k-th Tjurina number of a curve germ")
-    p.add_argument("f")
-    common(p)
-
-    p = sub.add_parser("fol-milnor", help="k-th Milnor number of the foliation P dx + Q dy")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    common(p)
-
-    p = sub.add_parser("fol-tjurina", help="k-th Tjurina number of a foliation along an invariant curve")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--f", required=True)
-    common(p)
-
-    p = sub.add_parser("gsv", help="GSV index of a foliation along an invariant reduced curve")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--f", required=True)
-    common(p, k=False)
-
-    p = sub.add_parser("polar", help="k-th polar intersection number at a generic direction")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--samples", type=_nonneg, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("invariant", help="is the curve invariant by the foliation?")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--f", required=True)
-    common(p, k=False)
-
-    p = sub.add_parser("qh-check", help="membership f in (P,Q): quasi-homogeneity of the foliation")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--f", required=True)
-    common(p, k=False)
-
-    p = sub.add_parser("check", help="verify a named identity")
-    p.add_argument("name", choices=CHECK_NAMES)
-    p.add_argument("--P")
-    p.add_argument("--Q")
-    p.add_argument("--f")
-    p.add_argument("--k-max", type=_nonneg, default=None, dest="k_max")
-    p.add_argument("--samples", type=_nonneg, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--assert-second-type", action="store_true",
-        help="assert the foliation is of second type (required by some checks)",
-    )
-    p.add_argument(
-        "--assert-generalized-curve", action="store_true",
-        help="assert the foliation is a generalized curve (required by qh-identity)",
-    )
-    common(p)
-
-    p = sub.add_parser("scenarios", help="run or list the bundled reproduction scenarios")
-    p.add_argument("action", choices=("run", "list"))
-    p.add_argument("--all", action="store_true", help="run every scenario")
-    p.add_argument("--filter", default=None, help="substring filter on id and location")
-    p.add_argument("--registry", default=None, help="path to a scenario registry file")
-    common(p, k=False)
-
+    for verb, row in VERBS.items():
+        p = sub.add_parser(verb, help=row.help)
+        for flags, options in row.args + (_FORMAT,):
+            p.add_argument(*flags, **options)
     return parser
 
 
-def _need(args, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise PreconditionError(f"--{name} is required for this command")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
 
 
-def _foliation(args) -> Foliation:
-    return Foliation(parse_poly(args.P), parse_poly(args.Q))
-
-
-def _curve(args) -> CurveGerm:
-    return CurveGerm(parse_poly(args.f))
-
-
-def _seed(args) -> int:
-    env = os.environ.get("FOLINV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PreconditionError(
-                f"FOLINV_SEED must be an integer, got {env!r}"
-            ) from None
-    return args.seed
+def _seed(args, from_env: bool) -> int:
+    env = os.environ.get("FOLINV_SEED") if from_env else None
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError(
+            f"FOLINV_SEED must be an integer, got {env!r}"
+        ) from None
 
 
 def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
     """Parse argv and run the command, returning the raw outcome.
 
+    ``allow_scenarios=False`` is scenario mode: the scenarios verb is refused,
+    and the seed comes from ``--seed`` alone, never from FOLINV_SEED, so a
+    scenario's value depends on its expression only.
+
     Raises ParseError / PreconditionError for invalid inputs, and SystemExit(2)
     for malformed argument lists (argparse's native behavior).
     """
-    args = build_parser().parse_args(argv)
-    verb = args.verb
-
-    if verb == "scenarios":
+    args = _parser().parse_args(argv)
+    if args.verb == "scenarios":
         if not allow_scenarios:
             raise PreconditionError(
                 "scenario expressions may not invoke the scenarios verb"
             )
         outcome = _evaluate_scenarios(args)
     else:
+        command, row = args.verb, VERBS[args.verb]
+        if command == "check":
+            command, row = f"check {args.name}", CHECKS[args.name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcome = _evaluate_computation(args, verb)
+            outcome = _evaluate_row(command, row, args, allow_scenarios)
         outcome.warnings = tuple(str(w.message) for w in caught)
-    outcome.fmt = getattr(args, "format", "table")
+    outcome.fmt = args.format
     return outcome
 
 
-def _evaluate_computation(args, verb: str) -> Outcome:
-    if verb == "vdim":
-        gens = [parse_poly(g) for g in args.gens]
-        plus = [parse_poly(g) for g in args.plus]
-        base = Ideal(tuple(gens)) if gens else Ideal.of(Poly.one())
-        ideal = base * maximal_ideal_power(args.mk) + Ideal(tuple(plus))
-        if ideal.is_zero:
-            result = INFINITE
-        else:
-            result = colength(ideal)
-        inputs = {"gens": args.gens, "plus": args.plus, "mk": args.mk}
-        return Outcome("vdim", inputs, args.mk, result)
-
-    if verb == "intersect":
-        result = intersection_number(parse_poly(args.f), parse_poly(args.g))
-        return Outcome("intersect", {"f": args.f, "g": args.g}, None, result)
-
-    if verb == "milnor":
-        return Outcome(
-            "milnor", {"f": args.f}, args.k, milnor_k(parse_poly(args.f), args.k)
-        )
-
-    if verb == "tjurina":
-        return Outcome(
-            "tjurina", {"f": args.f}, args.k, tjurina_k(parse_poly(args.f), args.k)
-        )
-
-    if verb == "fol-milnor":
-        result = foliation_milnor_k(_foliation(args), args.k)
-        return Outcome("fol-milnor", {"P": args.P, "Q": args.Q}, args.k, result)
-
-    if verb == "fol-tjurina":
-        result = foliation_tjurina_k(_foliation(args), _curve(args), args.k)
-        inputs = {"P": args.P, "Q": args.Q, "f": args.f}
-        return Outcome("fol-tjurina", inputs, args.k, result)
-
-    if verb == "gsv":
-        result = gsv_index(_foliation(args), _curve(args))
-        return Outcome("gsv", {"P": args.P, "Q": args.Q, "f": args.f}, None, result)
-
-    if verb == "polar":
-        seed = _seed(args)
-        result = polar_intersection_k(
-            _foliation(args), _curve(args), args.k, samples=args.samples, seed=seed
-        )
-        inputs = {"P": args.P, "Q": args.Q, "f": args.f, "samples": args.samples}
-        return Outcome("polar", inputs, args.k, result, seed=seed)
-
-    if verb == "invariant":
-        result = is_invariant(_foliation(args), _curve(args))
-        inputs = {"P": args.P, "Q": args.Q, "f": args.f}
-        return Outcome("invariant", inputs, None, result)
-
-    if verb == "qh-check":
-        result = is_quasihomogeneous_foliation(_foliation(args), _curve(args))
-        inputs = {"P": args.P, "Q": args.Q, "f": args.f}
-        return Outcome("qh-check", inputs, None, result)
-
-    if verb == "check":
-        return _evaluate_check(args)
-
-    raise PreconditionError(f"unknown verb {verb!r}")
-
-
-def _evaluate_check(args) -> Outcome:
-    name = args.name
-    k_max = args.k_max if args.k_max is not None else args.k
-    seed = _seed(args)
-    command = f"check {name}"
-
-    def out(result, inputs, k):
-        return Outcome(command, inputs, k, result, seed=seed)
-
-    if name == "gsv-theorem":
-        _need(args, ("P", "Q", "f"))
-        result = gsv_theorem_check(_foliation(args), _curve(args), k_max)
-        return out(result, {"P": args.P, "Q": args.Q, "f": args.f}, k_max)
-
-    if name == "teissier-k":
-        _need(args, ("f",))
-        f = parse_poly(args.f)
-        result = all(
-            teissier_k_check(f, k, samples=args.samples, seed=seed)
-            for k in range(k_max + 1)
-        )
-        return out(result, {"f": args.f}, k_max)
-
-    if name == "polar-gsv":
-        _need(args, ("P", "Q", "f"))
-        if not args.assert_second_type:
+def _evaluate_row(command: str, row: _Row, args, env_seed: bool) -> Outcome:
+    seed = _seed(args, env_seed) if "seed" in vars(args) else None
+    for name in row.inputs:
+        if getattr(args, name) is None:
+            raise PreconditionError(f"--{name} is required for this command")
+    if row.gate is not None:
+        flag, reason = row.gate
+        if not getattr(args, flag.replace("-", "_")):
             raise PreconditionError(
-                "check polar-gsv requires --assert-second-type "
-                "(non-dicritical second-type hypothesis is not decidable here)"
+                f"{command} requires --{flag} ({reason} is not decidable here)"
             )
-        result = polar_gsv_check(
-            _foliation(args), _curve(args), k_max, samples=args.samples, seed=seed
-        )
-        return out(result, {"P": args.P, "Q": args.Q, "f": args.f}, k_max)
-
-    if name == "bound":
-        _need(args, ("P", "Q", "f"))
-        if not args.assert_second_type:
-            raise PreconditionError(
-                "check bound requires --assert-second-type "
-                "(the balanced-divisor hypothesis is not decidable here)"
-            )
-        F, B0 = _foliation(args), _curve(args)
-        result = all(
-            milnor_bound_check(F, B0, k)[3] for k in range(k_max + 1)
-        )
-        return out(result, {"P": args.P, "Q": args.Q, "f": args.f}, k_max)
-
-    if name == "qh-identity":
-        _need(args, ("P", "Q", "f"))
-        if not args.assert_generalized_curve:
-            raise PreconditionError(
-                "check qh-identity requires --assert-generalized-curve "
-                "(the generalized-curve hypothesis is not decidable here)"
-            )
-        F, C = _foliation(args), _curve(args)
-        top = max(1, k_max)
-        result = all(
-            quasihomogeneous_identity_check(F, C, k)[2] for k in range(1, top + 1)
-        )
-        return out(result, {"P": args.P, "Q": args.Q, "f": args.f}, top)
-
-    if name == "second-type":
-        _need(args, ("P", "Q", "f"))
-        if not args.assert_second_type:
-            raise PreconditionError(
-                "check second-type requires --assert-second-type "
-                "(second-type hypothesis is not decidable here)"
-            )
-        result = second_type_milnor_check(_foliation(args), _curve(args), k_max)
-        return out(result, {"P": args.P, "Q": args.Q, "f": args.f}, k_max)
-
-    if name == "conjecture1":
-        _need(args, ("f",))
-        result = check_conjecture1(parse_poly(args.f), args.k)
-        return out(result, {"f": args.f}, args.k)
-
-    if name == "ratio":
-        _need(args, ("f",))
-        result = ratio_check(parse_poly(args.f), args.k)
-        return out(result, {"f": args.f}, args.k)
-
-    raise PreconditionError(f"unknown check {name!r}")
+    args.k = row.k(args) if row.k else getattr(args, "k", None)
+    args.seed = seed
+    inputs = {name: copy.copy(getattr(args, name)) for name in row.inputs}
+    return Outcome(command, inputs, args.k, row.run(args), seed=seed)
 
 
 def _evaluate_scenarios(args) -> Outcome:
     registry = scenarios_mod.load_registry(args.registry)
+    inputs = {"registry": args.registry, "filter": args.filter}
     if args.action == "list":
         reports = tuple(
             (sc.id, sc.paper_location, sc.description) for sc in registry
         )
-        return Outcome(
-            "scenarios list", {"registry": args.registry}, None, len(reports),
-            reports=reports,
-            summary={"total": len(reports), "passed": len(reports), "failed": 0},
-        )
+        return Outcome("scenarios list", inputs, None, True, reports=reports)
     if not args.all and args.filter is None:
         raise PreconditionError("scenarios run needs --all or --filter")
-    reports, summary = scenarios_mod.run_all(
-        filter=args.filter, registry=registry
-    )
+    reports, summary = scenarios_mod.run_all(filter=args.filter, registry=registry)
     return Outcome(
-        "scenarios run",
-        {"registry": args.registry, "filter": args.filter},
-        None,
-        summary["failed"] == 0,
-        reports=reports,
-        summary=summary,
+        "scenarios run", inputs, None, summary["failed"] == 0,
+        reports=reports, summary=summary,
     )
 
 
@@ -718,15 +673,10 @@ def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     start = time.perf_counter()
     try:
         outcome = evaluate(argv)
-    except (ParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes ParseError and PreconditionError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.perf_counter() - start) * 1000)

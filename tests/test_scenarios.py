@@ -177,6 +177,15 @@ class TestRunAll:
         assert strip(first) == strip(second)
         assert len(first) > 0
 
+    def test_env_seed_ignored(self, monkeypatch):
+        monkeypatch.delenv("FOLINV_SEED", raising=False)
+        computed = [r.computed for r in run_all()[0]]
+        for value in ("abc", "5"):
+            monkeypatch.setenv("FOLINV_SEED", value)
+            reports, summary = run_all()
+            assert summary == {"total": 212, "passed": 212, "failed": 0}
+            assert [r.computed for r in reports] == computed
+
     def test_filter_selects_subset(self):
         registry = load_registry()
         expected_ids = sorted(
