@@ -28,6 +28,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scenarios as scenarios_mod
 from .invariants import (
@@ -71,34 +72,50 @@ class ParseError(ValueError):
         super().__init__(text)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: object
     offset: int
 
 
-def _byte_offset(text: str, i: int) -> int:
-    return len(text[:i].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list:
     tokens = []
-    single = {
+    kinds = {
         "+": "PLUS",
         "-": "MINUS",
         "*": "STAR",
         "^": "CARET",
         "(": "LPAREN",
         ")": "RPAREN",
+        "x": "VAR",
+        "y": "VAR",
     }
+    # _Token(...) without the Python-level __new__ of a NamedTuple
+    token = functools.partial(tuple.__new__, _Token)
+    # Offsets are asked for in increasing order and text[:pos] is nbytes long
+    # in UTF-8, so each character is encoded at most once.  In ASCII text an
+    # offset is the index.
+    pos = nbytes = 0
+    ascii_only = text.isascii()
+
+    def _byte_offset(j: int) -> int:
+        nonlocal pos, nbytes
+        nbytes += len(text[pos:j].encode("utf-8"))
+        pos = j
+        return nbytes
+
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
-        off = _byte_offset(text, i)
+        off = i if ascii_only else _byte_offset(i)
+        kind = kinds.get(c)
+        if kind is not None:
+            tokens.append(token((kind, c, off)))
+            i += 1
+            continue
         if c.isdigit():
             j = i
             while j < n and text[j].isdigit():
@@ -113,32 +130,24 @@ def _tokenize(text: str) -> list:
                     den = int(text[j + 1 : k])
                     if den == 0:
                         raise ParseError(
-                            "denominator is zero", _byte_offset(text, j + 1)
+                            "denominator is zero", _byte_offset(j + 1)
                         )
                     j = k
                 else:
                     raise ParseError(
                         "'/' must be followed by digits",
-                        _byte_offset(text, j),
+                        _byte_offset(j),
                         {"digit"},
                     )
-            tokens.append(_Token("NUM", Fraction(num, den), off))
+            tokens.append(token(("NUM", Fraction(num, den), off)))
             i = j
-            continue
-        if c in ("x", "y"):
-            tokens.append(_Token("VAR", c, off))
-            i += 1
-            continue
-        if c in single:
-            tokens.append(_Token(single[c], c, off))
-            i += 1
             continue
         raise ParseError(
             f"unexpected character {c!r}",
             off,
             {"number", "'x'", "'y'", "'+'", "'-'", "'*'", "'^'", "'('", "')'"},
         )
-    tokens.append(_Token("END", None, _byte_offset(text, n)))
+    tokens.append(token(("END", None, _byte_offset(n))))
     return tokens
 
 

@@ -258,6 +258,11 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
+        if len(self.terms) == 1:
+            (a, b), c = self.terms[0]
+            return Poly._raw((((a * n, b * n), c**n),))
+        # The loop beats repeated squaring once the base has a few terms: it
+        # multiplies by the small base, squaring multiplies two large powers.
         out = Poly.one()
         for _ in range(n):
             out = out * self

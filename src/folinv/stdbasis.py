@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 from .ring import Monomial, Poly, monomial_divides, monomial_mul
@@ -484,97 +484,140 @@ def _mora_nf_certified(f: Poly, basis: list):
     return h, u, qs
 
 
-def _sympy_pair(p: Poly, sym, x, y):
-    terms = [
-        sym.Rational(c.numerator, c.denominator) * x**a * y**b
-        for (a, b), c in p.terms
-    ]
-    return sym.Add(*terms)
+# -- exact gcd in Z[x, y] ---------------------------------------------------
+#
+# Polynomials in this section are dicts (a, b) -> nonzero int.  Division is by
+# lex-leading terms, x before y.
 
 
-def _sympy_to_poly(e, sym, x, y) -> Poly:
-    sp = sym.Poly(e, x, y)
-    return Poly.from_dict(
-        {
-            (int(a), int(b)): Fraction(int(c.p), int(c.q))
-            for (a, b), c in sp.terms()
-        }
-    )
+def _zz(p: Poly) -> dict:
+    """p as a primitive integer polynomial with positive leading coefficient."""
+    return {_decode(code): c for code, c in _to_internal(p)}
+
+
+def _zsum(*products) -> dict:
+    """The sum of p*q over the given pairs (p, q)."""
+    out: dict = {}
+    for p, q in products:
+        for (a1, b1), c1 in p.items():
+            for (a2, b2), c2 in q.items():
+                m = (a1 + a2, b1 + b2)
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _zquo(p: dict, q: dict) -> "dict | None":
+    """p / q when q divides p in Z[x, y], else None."""
+    lq = max(q)
+    out = {}
+    while p:
+        lp = max(p)
+        m = (lp[0] - lq[0], lp[1] - lq[1])
+        c, r = divmod(p[lp], q[lq])
+        if m[0] < 0 or m[1] < 0 or r:
+            return None
+        out[m] = c
+        p = _zsum((p, {(0, 0): 1}), ({m: -c}, q))
+    return out
+
+
+def _zlead(p: dict, v: int) -> "tuple[int, dict]":
+    """Degree of p in the variable v (0: x, 1: y) and its coefficient there."""
+    d = max(m[v] for m in p)
+    lc = {(0, m[1]) if v == 0 else (m[0], 0): c for m, c in p.items() if m[v] == d}
+    return d, lc
+
+
+def _zprimitive(p: dict, v: int) -> "tuple[dict, dict]":
+    """(content, primitive part) of p in the variable v; the part has lc > 0.
+
+    For v = 1, p lies in Z[y] and its content is an integer.
+    """
+    if v == 1:
+        cont = {(0, 0): gcd(*p.values())}
+    else:
+        coeffs: dict = {}
+        for (a, b), c in p.items():
+            coeffs.setdefault(a, {})[(0, b)] = c
+        cont = reduce(lambda s, t: _zgcd(s, t, 1), coeffs.values())
+    if (p[max(p)] < 0) != (cont[max(cont)] < 0):
+        cont = {m: -c for m, c in cont.items()}
+    return cont, _zquo(p, cont)
+
+
+def _zgcd(p: dict, q: dict, v: int = 0) -> dict:
+    """gcd of nonzero p, q in Z[x, y], with positive leading coefficient.
+
+    A primitive pseudo-remainder sequence in x (v = 0) over Z[y].  The contents
+    in x are gcds in Z[y], taken by the same sequence in y (v = 1) over Z.
+    """
+    cp, p = _zprimitive(p, v)
+    cq, q = _zprimitive(q, v)
+    c = _zgcd(cp, cq, 1) if v == 0 else {(0, 0): gcd(cp[(0, 0)], cq[(0, 0)])}
+    if _zlead(p, v)[0] < _zlead(q, v)[0]:
+        p, q = q, p
+    dq, lq = _zlead(q, v)
+    while dq > 0:
+        while p and _zlead(p, v)[0] >= dq:
+            dp, lp = _zlead(p, v)
+            shift = {(dp - dq, 0) if v == 0 else (0, dp - dq): -1}
+            p = _zsum((lq, p), (shift, _zsum((lp, q))))
+        if not p:
+            return _zsum((c, q))
+        p, q = q, _zprimitive(p, v)[1]
+        dq, lq = _zlead(q, v)
+    return c
 
 
 def _split_common_factor(gens: tuple) -> "tuple[Poly, tuple[Poly, ...]] | None":
-    """Factor the generators as v * cofactors, v vanishing at the origin.
+    """Factor the generators as g * cofactors, g their primitive gcd in Z[x, y].
 
-    v is the product (with multiplicity) of those irreducible factors of the
-    polynomial gcd of the generators that vanish at 0.  Returns None when
-    there are none -- the generators then share no curve through the origin,
-    so the ideal they generate in the local ring is zero-dimensional.  The
-    computer-algebra dependency is imported lazily: this only runs when a
-    reduction blows its budget, which well-posed inputs never do.
+    Returns None when g(0) != 0: the generators then share no curve through
+    the origin, so the ideal they generate in the local ring is
+    zero-dimensional.  Otherwise g = v*w, v the product of the irreducible
+    factors of g through the origin and w(0) != 0 a unit of the local ring, so
+    g and v generate the same local ideal and have the same leading monomial.
+    The cofactors are gens/g up to nonzero constants.
     """
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    exprs = [_sympy_pair(g, sympy, x, y) for g in gens]
-    g = exprs[0]
-    for e in exprs[1:]:
-        g = sympy.gcd(g, e)
-        if g.is_number:
-            return None
-    vanishing = sympy.Integer(1)
-    for fac, exp in sympy.factor_list(g, x, y)[1]:
-        if fac.subs({x: 0, y: 0}) == 0:
-            vanishing *= fac**exp
-    if vanishing == 1:
+    zs = [_zz(h) for h in gens]
+    g = reduce(_zgcd, zs)
+    if (0, 0) in g:
         return None
-    cofactors = tuple(
-        _sympy_to_poly(sympy.exquo(e, vanishing, x, y), sympy, x, y) for e in exprs
-    )
-    return _sympy_to_poly(vanishing, sympy, x, y), cofactors
-
-
-def _exact_quotient_or_none(f: Poly, v: Poly) -> "Poly | None":
-    """f / v when v divides f as polynomials, else None.
-
-    For v a product of irreducible polynomials vanishing at 0, polynomial
-    divisibility of a polynomial f by v is equivalent to divisibility in the
-    local ring: a power series cofactor forces f to vanish along every
-    branch of v through 0, hence (all components of an irreducible curve
-    with a point at the origin pass through it) on every component of v, to
-    the full multiplicity -- so the cofactor is itself a polynomial.
-    """
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    q, r = sympy.div(_sympy_pair(f, sympy, x, y), _sympy_pair(v, sympy, x, y), x, y)
-    if r != 0:
-        return None
-    return _sympy_to_poly(q, sympy, x, y)
+    return Poly.from_dict(g), tuple(Poly.from_dict(_zquo(h, g)) for h in zs)
 
 
 def _eliminate_row(row: dict, pivots: dict) -> None:
     """Reduce a sparse row against the pivot rows and insert it if nonzero.
 
-    Rows are dicts code -> Fraction; the pivot column of a row is its
-    smallest code, i.e. its leading monomial in the local order.  Pivot rows
-    are kept monic.
+    Rows are dicts code -> int; the pivot column of a row is its smallest
+    code, i.e. its leading monomial in the local order.  Reduction is
+    fraction-free (Bareiss): cross-multiply by the two leading coefficients
+    over their gcd, then divide out the row content.  Pivot rows are stored
+    as internal polynomials: sorted, primitive, positive leading coefficient.
     """
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
-            lc = row[lead]
-            pivots[lead] = {c: v / lc for c, v in row.items()}
+            pivots[lead] = _strip(sorted(row.items()))
             return
-        factor = row.pop(lead)
-        for c, v in piv.items():
-            if c == lead:
-                continue
-            w = row.get(c, 0) - factor * v
+        a = row.pop(lead)
+        b = piv[0][1]
+        d = gcd(a, b)
+        a //= d
+        if b != d:
+            for c in row:
+                row[c] *= b // d
+        for c, v in piv[1:]:
+            w = row.get(c, 0) - a * v
             if w:
                 row[c] = w
             else:
                 row.pop(c, None)
+        g = gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
 
 
 def _capped_std(internal_gens: list, cap: int) -> "list | None":
@@ -598,7 +641,7 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     (an element of I plus junk from m^cap, and m^cap is inside m^N) lies in
     I.  Returns None when the cap was too small to decide.
     """
-    pivots: dict[int, dict] = {}
+    pivots: dict[int, list] = {}
     for g in internal_gens:
         if not g:
             continue
@@ -610,15 +653,10 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
                 for code, coeff in g:
                     c = code + shift
                     if (c >> _SHIFT) < cap:
-                        row[c] = Fraction(coeff)
+                        row[c] = coeff
                 if row:
                     _eliminate_row(row, pivots)
-    out = []
-    for row in pivots.values():
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append(sorted((c, int(v * den)) for c, v in row.items()))
+    out = list(pivots.values())
     for i in range(cap + 1):
         out.append([(_encode((cap - i, i)), 1)])
     basis = _minimalize(out)
@@ -636,9 +674,10 @@ def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
         if split is None:
             # No common factor through the origin: the ideal is
             # zero-dimensional in the local ring, so some degree cap will be
-            # accepted; doubling reaches it in O(log) attempts.
+            # accepted; doubling reaches it in O(log) attempts.  Elimination
+            # cost grows steeply with the cap, so start small.
             internal_gens = [_to_internal(g) for g in gens]
-            cap = max(4, 2 * max(g.degree() for g in gens))
+            cap = 4
             while True:
                 capped = _capped_std(internal_gens, cap)
                 if capped is not None:
@@ -646,13 +685,13 @@ def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
                     break
                 cap *= 2
         else:
-            # A standard basis of v*J is v times one of J: leading monomials
+            # A standard basis of g*J is g times one of J: leading monomials
             # multiply, so the leading ideals match on both sides.
-            v, cofactors = split
+            g, cofactors = split
             inner = _standard_basis_cached(cofactors)
-            vlm = v.leading_monomial()
-            elements = tuple((v * s).monic() for s in inner.elements)
-            lms = tuple(monomial_mul(vlm, lm) for lm in inner.leading_monomials)
+            glm = g.leading_monomial()
+            elements = tuple((g * s).monic() for s in inner.elements)
+            lms = tuple(monomial_mul(glm, lm) for lm in inner.leading_monomials)
             return StandardBasis(
                 source=Ideal(gens), elements=elements, leading_monomials=lms
             )
@@ -718,11 +757,18 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     except _Blowup:
         split = _split_common_factor(ideal.generators)
         if split is None:
-            return not _mora_nf(_to_internal(f), basis, None)
-        # f lies in v*J iff v divides f (in the local ring, equivalently as
-        # polynomials) and the cofactor lies in J.
-        v, cofactors = split
-        q = _exact_quotient_or_none(f, v)
-        if q is None:
+            raise RuntimeError(
+                "membership walk without a staircase bound, yet the generators"
+                " share no factor through the origin"
+            )
+        # The ideal is g*J, g = v*w as in _split_common_factor, and f lies in
+        # it iff v divides f (locally, equivalently as polynomials: f then
+        # vanishes on a branch of each factor, hence on all of it) and f/g lies
+        # in J.  w need not divide f, so divide by d = gcd(f, g): v divides f
+        # iff g/d is a unit, and then f/d is a unit multiple of f/g.
+        g, cofactors = split
+        zf, zg = _zz(f), _zz(g)
+        d = _zgcd(zf, zg)
+        if (0, 0) not in _zquo(zg, d):
             return False
-        return contains(Ideal(cofactors), q)
+        return contains(Ideal(cofactors), Poly.from_dict(_zquo(zf, d)))

@@ -3,11 +3,12 @@
 import json
 import re
 import shlex
+import time
 from fractions import Fraction
 
 import pytest
 
-from folinv.cli import ParseError, canonical, evaluate, main, parse_poly
+from folinv.cli import ParseError, _tokenize, canonical, evaluate, main, parse_poly
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import INFINITE
 
@@ -45,6 +46,34 @@ class TestParsePoly:
             parse_poly("*x")
         with pytest.raises(ParseError, match="offset 4"):
             parse_poly("x + $")
+
+    def test_non_ascii_error_offsets_count_bytes(self):
+        # U+00A0 and U+0661 take two UTF-8 bytes, U+2003 three
+        cases = {
+            "x\u00a0+ $": 5,
+            "x\u00a0+": 4,
+            "\u00a0\u00a01/0": 6,
+            "\u0661/x": 2,
+            "(x\u2003+ y": 8,
+        }
+        for text, offset in cases.items():
+            with pytest.raises(ParseError) as info:
+                parse_poly(text)
+            assert info.value.offset == offset, text
+
+    def test_long_input_tokenizes_in_linear_time(self):
+        def best_time(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                tokens = _tokenize(text)
+                times.append(time.perf_counter() - start)
+            assert tokens[-1].offset == len(text.encode("utf-8"))
+            return min(times)
+
+        assert best_time("+".join(["x*y"] * 32000)) < 0.3  # 127 999 characters
+        # not ASCII: quadratic offsets took over 2 s on these 64 000 characters
+        assert best_time("\u00a0" + "+".join(["x*y"] * 16000)) < 1.0
 
     def test_expected_token_set_reported(self):
         with pytest.raises(ParseError, match="expected"):

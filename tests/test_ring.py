@@ -97,6 +97,11 @@ class TestArithmetic:
     def test_pow(self):
         assert (X + Y) ** 0 == Poly.one()
         assert (X + Y) ** 3 == X**3 + 3 * X**2 * Y + 3 * X * Y**2 + Y**3
+        for base in (X + Y, Poly.term((2, 1), Fraction(-2, 3)), Poly.zero()):
+            product = Poly.one()
+            for n in range(13):
+                assert base**n == product
+                product = product * base
 
 
 class TestMultiplicity:

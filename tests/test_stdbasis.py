@@ -1,12 +1,15 @@
 """Standard-basis engine: normal forms, colengths, membership, degeneracies."""
 
+import importlib.abc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from folinv.ring import Poly, X, Y, multiplicity
 from folinv import stdbasis
+from folinv.invariants import dim_mk_plus_f_closed
 from folinv.stdbasis import (
     INFINITE,
     Ideal,
@@ -21,7 +24,7 @@ from folinv.stdbasis import (
     standard_basis,
 )
 
-from oracle import PRIMES, oracle_colength, rand_poly
+from oracle import PRIMES, oracle_colength, quotient_dim_modp, rand_poly
 
 F_RUN = X**4 - Y**3
 G_RUN = Y**5 - X**7 + X**4 * Y**4
@@ -271,6 +274,136 @@ class TestDegenerateIdeals:
         n = 3
         assert contains(Ideal.of(n * Y + X**n, -X), X)
         assert contains(Ideal.of(-3 * Y, 2 * X), Y**2 - X**3)
+
+
+def _dim_below(lms, n):
+    """Monomials of degree < n outside the monomial ideal of lms: dim O/(I + m^n)."""
+    return sum(
+        1
+        for d in range(n)
+        for a in range(d + 1)
+        if not any(a >= p and d - a >= q for p, q in lms)
+    )
+
+
+class TestForcedRoutes:
+    """A zero Mora work budget sends every basis that needs a reduction to a
+    fallback: the common-factor split when the generators share a factor
+    through the origin, capped elimination otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def routes(self, monkeypatch):
+        calls = {"split": 0, "capped": 0}
+        split, capped = stdbasis._split_common_factor, stdbasis._capped_std
+
+        def counted_split(gens):
+            out = split(gens)
+            calls["split"] += out is not None
+            return out
+
+        def counted_capped(gens, cap):
+            calls["capped"] += 1
+            return capped(gens, cap)
+
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
+        monkeypatch.setattr(stdbasis, "_split_common_factor", counted_split)
+        monkeypatch.setattr(stdbasis, "_capped_std", counted_capped)
+        stdbasis._standard_basis_cached.cache_clear()
+        yield calls
+        stdbasis._standard_basis_cached.cache_clear()
+
+    def test_capped_route_matches_oracle(self, routes):
+        rng = random.Random(314159)
+        checked = 0
+        for _ in range(40):
+            gens = [rand_poly(rng) for _ in range(rng.randint(2, 3))]
+            got = colength(Ideal(tuple(gens)))
+            expect = oracle_colength(gens, nmax=20, prime=PRIMES[0])
+            if expect is None:
+                continue
+            if got != expect:
+                expect = oracle_colength(gens, nmax=20, prime=PRIMES[1])
+            assert got == expect, gens
+            checked += 1
+        assert checked >= 15
+        assert routes["capped"] > 0
+
+    def test_split_route_matches_oracle(self, routes):
+        # (h*a, h*b) has infinite colength; its staircase is checked degree
+        # by degree: dim O/(I + m^n) counts the monomials below degree n
+        # outside the leading ideal
+        rng = random.Random(2024)
+        for _ in range(15):
+            h, a, b = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+            gens = [h * a, h * b]
+            ideal = Ideal(tuple(gens))
+            assert colength(ideal) is INFINITE
+            assert oracle_colength(gens, nmax=12) is None
+            lms = leading_ideal(ideal)
+            for n in (4, 8, 11):
+                assert _dim_below(lms, n) == quotient_dim_modp(gens, n, PRIMES[0])
+        assert routes["split"] >= 15
+
+    def test_mk_plus_f_closed_form(self, routes):
+        # the redundant generator (1+x)*f gives the s-polynomial x*f, of
+        # order m+1 below the truncation degree k, so the zero budget forces
+        # capped elimination
+        rng = random.Random(77)
+        for _ in range(20):
+            f = rand_poly(rng)
+            m = multiplicity(f)
+            for k in range(m + 2, m + 5):
+                ideal = Ideal.of(f, (Poly.one() + X) * f) + maximal_ideal_power(k)
+                before = routes["capped"]
+                assert colength(ideal) == dim_mk_plus_f_closed(m, k)
+                assert routes["capped"] > before
+
+    def test_membership_through_a_unit_factor(self, routes):
+        # the gcd x(1+x) of the generators does not divide x*y^2, but its
+        # part vanishing at the origin does: 1+x is a unit
+        g = X * (Poly.one() + X)
+        ideal = Ideal.of(g * X**2, g * Y**2, g * X * Y)
+        assert contains(ideal, X * Y**2) is True
+        assert contains(ideal, X**2 * Y * (Poly.one() + Y)) is True
+        assert contains(ideal, X * Y) is False
+        assert contains(ideal, Y**3) is False
+        assert routes["split"] > 0
+
+    def test_membership_walk_without_common_factor_is_an_error(
+        self, routes, monkeypatch
+    ):
+        monkeypatch.setattr(stdbasis, "_split_common_factor", lambda gens: None)
+        with pytest.raises(RuntimeError, match="staircase bound"):
+            contains(Ideal.of(X * Y, X**2), X**3)
+
+    def test_routes_import_nothing(self, routes, monkeypatch):
+        # neither route has a lazy import, of a computer-algebra system or
+        # anything else: every import not already loaded is refused
+        class Refuse(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path, target=None):
+                raise ImportError(f"import of {name} in a fallback route")
+
+        monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
+        loaded = set(sys.modules)
+        assert colength(Ideal.of(X * F_RUN, X * G_RUN)) is INFINITE
+        assert contains(Ideal.of(X * F_RUN, X * G_RUN), X * Y**3 - X**5) is True
+        assert colength(Ideal.of(F_RUN, (Poly.one() + Y) * F_RUN, G_RUN)) == 20
+        assert routes["split"] > 0 and routes["capped"] > 0
+        assert set(sys.modules) == loaded
+
+
+def test_gcd_of_products():
+    rng = random.Random(99)
+    for _ in range(60):
+        h = rand_poly(rng) + Poly.constant(rng.choice([0, 0, 1, -2]))
+        a, b = rand_poly(rng), rand_poly(rng) + Poly.constant(rng.choice([0, 3]))
+        p, q = stdbasis._zz(h * a), stdbasis._zz(h * b)
+        g = stdbasis._zgcd(p, q)
+        assert stdbasis._zquo(g, stdbasis._zz(h)) is not None
+        assert stdbasis._zsum((stdbasis._zquo(p, g), g)) == p
+        assert stdbasis._zsum((stdbasis._zquo(q, g), g)) == q
+        # p is primitive, so 2*g does not divide it
+        assert stdbasis._zquo(p, {m: 2 * c for m, c in g.items()}) is None
 
 
 class TestLeadingIdeal:
