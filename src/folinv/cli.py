@@ -116,16 +116,16 @@ def _tokenize(text: str) -> list:
             tokens.append(token((kind, c, off)))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = int(text[i:j])
             den = 1
             if j < n and text[j] == "/":
-                if j + 1 < n and text[j + 1].isdigit():
+                if j + 1 < n and text[j + 1].isdecimal():
                     k = j + 1
-                    while k < n and text[k].isdigit():
+                    while k < n and text[k].isdecimal():
                         k += 1
                     den = int(text[j + 1 : k])
                     if den == 0:

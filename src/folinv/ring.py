@@ -226,6 +226,10 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
+            if len(self.terms) == 1:
+                return other._shifted(*self.terms[0])
+            if len(other.terms) == 1:
+                return self._shifted(*other.terms[0])
             acc: dict[Monomial, Fraction] = {}
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
@@ -244,6 +248,13 @@ class Poly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _shifted(self, m: Monomial, c: Fraction) -> "Poly":
+        """c * x^m * self.  A monomial shift keeps the terms in order."""
+        da, db = m
+        if c == 1:
+            return Poly._raw(tuple(((a + da, b + db), t) for (a, b), t in self.terms))
+        return Poly._raw(tuple(((a + da, b + db), c * t) for (a, b), t in self.terms))
 
     def scale(self, c: Coefficient) -> "Poly":
         c = Fraction(c)

@@ -209,10 +209,19 @@ _NF_STEP_BUDGET = 20000
 _COEFF_BIT_LIMIT = 6000
 
 
+def _reducer(t: list) -> tuple:
+    """An internal polynomial as a reducer of :func:`_mora_nf`.
+
+    (a, b, code, ecart, t): the exponents and the code of its leading
+    monomial, for a divisibility test without decoding, and its ecart.
+    """
+    return (*_decode(t[0][0]), t[0][0], _ecart(t), t)
+
+
 def _mora_nf(
     h: list, basis: list, trunc: "int | None" = None, budget: "list | None" = None
 ) -> list:
-    """Mora weak normal form of h against a list of internal polynomials.
+    """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
 
     Reducer choice: among the reducers whose leading monomial divides the
     leading monomial of h, take minimal ecart, break ties by the smallest
@@ -230,17 +239,18 @@ def _mora_nf(
     """
     if trunc is not None:
         h = _truncate(h, trunc)
-    reducers = [(t[0][0], _ecart(t), t) for t in basis]
+    reducers = list(basis)
     while h:
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0 or h[0][1].bit_length() > _COEFF_BIT_LIMIT:
                 raise _Blowup
         lmh = h[0][0]
+        ah, bh = _decode(lmh)
         best_key = None
         best = None
-        for lmg, ecg, t in reducers:
-            if _code_divides(lmg, lmh):
+        for ag, bg, lmg, ecg, t in reducers:
+            if ag <= ah and bg <= bh:
                 key = (ecg, -lmg)
                 if best_key is None or key < best_key:
                     best_key = key
@@ -249,7 +259,7 @@ def _mora_nf(
             break
         ecg, t = best
         if ecg > _ecart(h):
-            reducers.append((lmh, _ecart(h), h))
+            reducers.append(_reducer(h))
         h = _reduce_step(h, t)
         if trunc is not None:
             h = _truncate(h, trunc)
@@ -279,12 +289,28 @@ def _std(gens: list) -> list:
     """Tangent-cone standard basis of a list of internal polynomials.
 
     Normal strategy: s-pairs are processed by increasing total degree of the
-    lcm of leading monomials, ties by creation order.  Pairs with coprime
-    leading monomials are skipped (product criterion), as are pairs whose
-    s-polynomial provably lies in a power of the maximal ideal already known
-    to be contained in the ideal (highest-corner truncation).  The final
-    basis is minimalized; tails are left as computed, since full tail
-    reduction need not terminate under a local order.
+    lcm of leading monomials, ties by creation order.  The tails are left as
+    computed, since full tail reduction need not terminate under a local
+    order; the final basis is minimalized.
+
+    Three criteria settle a pair without reducing its s-polynomial:
+
+    * truncation: every term of the s-polynomial has degree at least that of
+      the lcm, so a pair whose lcm has degree >= the staircase bound lies in
+      a power of the maximal ideal already known to be contained in the ideal;
+    * product criterion: leading monomials that are coprime;
+    * chain criterion (Buchberger's second criterion, which holds for local
+      orders as well; Greuel-Pfister 1.7, Gebauer-Moeller 1988): some other
+      element l has LM_l | lcm(LM_i, LM_j) and neither (i, l) nor (j, l) is
+      still pending.  The s-polynomial of (i, j) is then a combination of
+      theirs with smaller leading monomials, so it has a standard
+      representation once they have one.
+
+    A pair the first two criteria settle when it is created never enters the
+    queue.  The staircase bound only falls as the basis grows, so truncation
+    is checked again when a pair is taken off the queue, and so is the chain
+    criterion.  ``pending`` holds the queued pairs; every other pair is
+    settled, whether it was dismissed, skipped or reduced.
 
     All reductions run against a shared work budget and may raise
     :class:`_Blowup`: even with a truncation degree, which makes every walk
@@ -293,34 +319,60 @@ def _std(gens: list) -> list:
     """
     G = [list(g) for g in gens if g]
     lms = [g[0][0] for g in G]
+    reducers = [_reducer(g) for g in G]
     trunc = _staircase_bound(lms)
     counter = [_NF_STEP_BUDGET]
     heap = []
-    n = len(G)
-    for j in range(n):
+    pending = set()
+
+    def add_pairs(j: int) -> None:
+        lmj = lms[j]
         for i in range(j):
-            lcm = _code_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (lcm >> _SHIFT, i, j, lcm))
+            lcm = _code_lcm(lms[i], lmj)
+            deg = lcm >> _SHIFT
+            if trunc is not None and deg >= trunc:
+                continue
+            if _PRODUCT_CRITERION and lcm == lms[i] + lmj:
+                continue
+            heapq.heappush(heap, (deg, i, j, lcm))
+            pending.add((i, j))
+
+    for j in range(len(G)):
+        add_pairs(j)
     while heap:
         lcm_deg, i, j, lcm = heapq.heappop(heap)
-        # every term of the s-polynomial has degree >= lcm_deg
+        pending.remove((i, j))
         if trunc is not None and lcm_deg >= trunc:
             continue
-        if _PRODUCT_CRITERION and lcm == lms[i] + lms[j]:
+        if _chain_settled(i, j, lcm, lms, pending):
             continue
         s = _spoly(G[i], G[j])
         if not s:
             continue
-        r = _mora_nf(s, G, trunc, counter)
+        r = _mora_nf(s, reducers, trunc, counter)
         if r:
             G.append(r)
+            reducers.append(_reducer(r))
             lms.append(r[0][0])
             trunc = _staircase_bound(lms)
-            j = len(G) - 1
-            for i in range(j):
-                lcm = _code_lcm(lms[i], lms[j])
-                heapq.heappush(heap, (lcm >> _SHIFT, i, j, lcm))
+            add_pairs(len(G) - 1)
     return _minimalize(G)
+
+
+def _chain_settled(i: int, j: int, lcm: int, lms: list, pending: set) -> bool:
+    """Buchberger's chain criterion for the pair (i, j), i < j, see :func:`_std`."""
+    b = lcm & _MASK
+    a = (lcm >> _SHIFT) - b
+    for l, code in enumerate(lms):
+        bl = code & _MASK
+        if bl > b or (code >> _SHIFT) - bl > a or l == i or l == j:
+            continue
+        if ((i, l) if i < l else (l, i)) in pending:
+            continue
+        if ((j, l) if j < l else (l, j)) in pending:
+            continue
+        return True
+    return False
 
 
 # -- public types -----------------------------------------------------------
@@ -439,7 +491,7 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     # the walk finite-by-construction: each step strictly increases the
     # leading code, which truncation bounds.
     trunc = _staircase_bound([t[0][0] for t in internal])
-    r = _mora_nf(_to_internal(f), internal, trunc)
+    r = _mora_nf(_to_internal(f), [_reducer(t) for t in internal], trunc)
     return _to_poly(r)
 
 
@@ -753,7 +805,9 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     trunc = _staircase_bound([t[0][0] for t in basis])
     counter = None if trunc is not None else [_NF_STEP_BUDGET]
     try:
-        return not _mora_nf(_to_internal(f), basis, trunc, counter)
+        return not _mora_nf(
+            _to_internal(f), [_reducer(t) for t in basis], trunc, counter
+        )
     except _Blowup:
         split = _split_common_factor(ideal.generators)
         if split is None:

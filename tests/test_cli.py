@@ -1,13 +1,17 @@
 """Expression parsing, command dispatch, output formats, and exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import folinv
 from folinv.cli import ParseError, _tokenize, canonical, evaluate, main, parse_poly
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import INFINITE
@@ -60,6 +64,16 @@ class TestParsePoly:
             with pytest.raises(ParseError) as info:
                 parse_poly(text)
             assert info.value.offset == offset, text
+
+    def test_only_decimal_digits_are_digits(self):
+        # superscripts pass str.isdigit() but int() rejects them; they are
+        # unexpected characters like any other, with their byte offset
+        for text, offset in {"x\u00b2+y^3": 1, "x^\u00b3": 2, "\u2074/3*x": 0}.items():
+            with pytest.raises(ParseError, match="unexpected character") as info:
+                parse_poly(text)
+            assert info.value.offset == offset, text
+        # decimal digits of other scripts stay digits
+        assert parse_poly("x^\u0663 + \u0662/\u0665*y") == X**3 + Fraction(2, 5) * Y
 
     def test_long_input_tokenizes_in_linear_time(self):
         def best_time(text):
@@ -257,6 +271,11 @@ class TestExitCodeMatrix:
         code, _, err = run_cli(capsys, "milnor", "x^")
         assert code == 2
         assert err.startswith("error:") and "offset 2" in err
+
+    def test_superscript_is_a_parse_error(self, capsys):
+        code, _, err = run_cli(capsys, "milnor", "x\u00b2+y^3")
+        assert code == 2
+        assert err.startswith("error: syntax error at byte offset 1:")
 
     def test_gated_check_without_assertion_is_2(self, capsys):
         code, _, err = run_cli(
@@ -486,3 +505,28 @@ class TestScenariosVerb:
         code, out, _ = run_cli(capsys, "scenarios", "list", "--registry", str(reg))
         assert code == 0
         assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["milnor", "x^4-y^3", "--k", "2"], 0), (["milnor", "x\u00b2"], 2), (["frobnicate"], 2)],
+)
+def test_python_m_folinv_matches_cli_module(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(folinv.__file__))
+    env.pop("FOLINV_SEED", None)
+
+    def run(module):
+        out = subprocess.run(
+            [sys.executable, "-m", module, *argv, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        return out.returncode, re.sub(r'"elapsed_ms": \d+', "", out.stdout), out.stderr
+
+    got = run("folinv")
+    assert got == run("folinv.cli")
+    assert got[0] == code
+    assert bool(got[1]) == (code == 0)

@@ -89,6 +89,32 @@ class TestArithmetic:
             assert f * g == g * f
             assert f * (g + h) == f * g + f * h
 
+    def test_product_by_a_single_term(self):
+        # the shortcut for a one-term factor gives the terms that merging
+        # every pairwise product and sorting gives
+        rng = random.Random(7)
+        for _ in range(60):
+            f = Poly.from_dict(
+                {
+                    (rng.randint(0, 4), rng.randint(0, 4)): Fraction(
+                        rng.randint(-4, 4), rng.randint(1, 3)
+                    )
+                    for _ in range(rng.randint(0, 5))
+                }
+            )
+            t = Poly.term(
+                (rng.randint(0, 3), rng.randint(0, 3)),
+                rng.choice([1, -1, Fraction(2, 3)]),
+            )
+            expect = Poly(
+                (monomial_mul(m1, m2), c1 * c2)
+                for m1, c1 in f.terms
+                for m2, c2 in t.terms
+            )
+            assert (f * t).terms == expect.terms
+            assert (t * f).terms == expect.terms
+            assert all(isinstance(c, Fraction) for _, c in (f * t).terms)
+
     def test_scale_and_neg(self):
         assert F_RUN * Poly.constant(Fraction(-2, 5)) == -(
             F_RUN * Poly.constant(Fraction(2, 5))

@@ -9,7 +9,17 @@ import pytest
 
 from folinv.ring import Poly, X, Y, multiplicity
 from folinv import stdbasis
-from folinv.invariants import dim_mk_plus_f_closed
+from folinv.invariants import (
+    Foliation,
+    ReducedSingularityKind,
+    curve,
+    dim_mk_plus_f_closed,
+    foliation_milnor_k,
+    foliation_tjurina_k,
+    milnor_k,
+    milnor_k_closed,
+    reduced_singularity_invariants,
+)
 from folinv.stdbasis import (
     INFINITE,
     Ideal,
@@ -123,7 +133,6 @@ class TestStandardBasis:
         assert colength(Ideal.of(f.partial_x(), f.partial_y())) == 16
 
     def test_spoly_criterion(self):
-        # every s-polynomial of basis pairs reduces to zero
         rng = random.Random(21)
         done = 0
         while done < 10:
@@ -131,17 +140,116 @@ class TestStandardBasis:
             if not is_finite(colength(ideal)):
                 continue
             done += 1
-            sb = standard_basis(ideal)
-            els = list(sb.elements)
-            for i in range(len(els)):
-                for j in range(i + 1, len(els)):
-                    mi, mj = els[i].leading_monomial(), els[j].leading_monomial()
-                    lcm = (max(mi[0], mj[0]), max(mi[1], mj[1]))
-                    a = Poly.from_dict({(lcm[0] - mi[0], lcm[1] - mi[1]): 1})
-                    b = Poly.from_dict({(lcm[0] - mj[0], lcm[1] - mj[1]): 1})
-                    ci, cj = els[i].leading_coefficient(), els[j].leading_coefficient()
-                    spoly = a * els[i] * Poly.constant(1 / ci) - b * els[j] * Poly.constant(1 / cj)
-                    assert mora_normal_form(spoly, els).is_zero
+            _assert_spolys_reduce(standard_basis(ideal))
+
+    def test_spoly_criterion_many_generators(self):
+        # m^k * j(f) and m^k * j(f) + (f) have 2(k+1) and 2k+3 generators,
+        # whose pairs the chain criterion mostly settles without a reduction
+        for f in _sweep_germs():
+            for ideal in _sweep_ideals(f):
+                _assert_spolys_reduce(standard_basis(ideal))
+
+    def test_many_generator_colengths(self):
+        for f, mu, m in _family():
+            for k in range(9):
+                ideal = Ideal.of(f.partial_x(), f.partial_y()) * maximal_ideal_power(k)
+                assert colength(ideal) == milnor_k_closed(mu, m, k), (f, k)
+        for f in _sweep_germs():
+            for ideal in _sweep_ideals(f):
+                expect = oracle_colength(list(ideal.generators), nmax=20)
+                assert expect is not None, ideal
+                assert colength(ideal) == expect, ideal
+        # (f, g) * m^k: the shifts of each generator share leading-monomial
+        # lcms, the chains that the chain criterion settles
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(60):
+            f, g = rand_poly(rng), rand_poly(rng)
+            ideal = Ideal.of(f, g) * maximal_ideal_power(rng.randint(1, 4))
+            expect = oracle_colength(list(ideal.generators), nmax=20)
+            if expect is None:
+                continue
+            assert colength(ideal) == expect, ideal
+            checked += 1
+        assert checked >= 20
+
+    def test_chain_criterion_saves_reductions(self, monkeypatch):
+        # mu^12 of x^5 + y^7 + 2x^2y^3 took 34 normal forms with the product
+        # criterion alone and takes 13 with the chain criterion
+        calls = []
+        nf = stdbasis._mora_nf
+
+        def counted(*args):
+            calls.append(1)
+            return nf(*args)
+
+        monkeypatch.setattr(stdbasis, "_mora_nf", counted)
+        stdbasis._standard_basis_cached.cache_clear()
+        f, mu, m = next(_family())
+        assert milnor_k(f, 12) == milnor_k_closed(mu, m, 12)
+        stdbasis._standard_basis_cached.cache_clear()
+        assert 0 < len(calls) <= 20
+
+
+# x^a + y^b + lam * x^c * y^d, with (c, d) off the segment from (a, 0) to (0, b)
+FAMILY = [
+    (5, 7, 2, 3, 2),
+    (4, 6, 1, 3, -1),
+    (3, 4, 2, 2, 1),
+    (6, 6, 1, 4, -2),
+    (2, 5, 1, 2, 1),
+]
+
+
+def _family():
+    """(f, mu, multiplicity) of each FAMILY germ, a Newton non-degenerate one.
+
+    Kouchnirenko: mu = 2V - a - b + 1, V the area under the Newton polygon;
+    (c, d) is a vertex only when it lies below the segment from (a, 0) to
+    (0, b).
+    """
+    for a, b, c, d, lam in FAMILY:
+        f = X**a + Y**b + lam * X**c * Y**d
+        if c * b + d * a < a * b:
+            mu = a * d + b * c - a - b + 1
+        else:
+            mu = (a - 1) * (b - 1)
+        yield f, mu, min(a, c + d)
+
+
+def _sweep_germs():
+    """The FAMILY germs, then six random germs with an isolated singularity."""
+    germs = [f for f, _, _ in _family()]
+    rng = random.Random(8)
+    while len(germs) < len(FAMILY) + 6:
+        f = rand_poly(rng, max_extra_deg=6)
+        jac = Ideal.of(f.partial_x(), f.partial_y())
+        if not jac.is_zero and is_finite(colength(jac)):
+            germs.append(f)
+    return germs
+
+
+def _sweep_ideals(f):
+    """m^k * j(f) and m^k * j(f) + (f) for k = 0..8."""
+    jac = Ideal.of(f.partial_x(), f.partial_y())
+    for k in range(9):
+        ideal = jac * maximal_ideal_power(k)
+        yield ideal
+        yield ideal + Ideal.of(f)
+
+
+def _assert_spolys_reduce(sb):
+    """Every s-polynomial of a pair of basis elements reduces to zero."""
+    els = list(sb.elements)
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
+            mi, mj = els[i].leading_monomial(), els[j].leading_monomial()
+            lcm = (max(mi[0], mj[0]), max(mi[1], mj[1]))
+            a = Poly.from_dict({(lcm[0] - mi[0], lcm[1] - mi[1]): 1})
+            b = Poly.from_dict({(lcm[0] - mj[0], lcm[1] - mj[1]): 1})
+            ci, cj = els[i].leading_coefficient(), els[j].leading_coefficient()
+            spoly = a * els[i] * Poly.constant(1 / ci) - b * els[j] * Poly.constant(1 / cj)
+            assert mora_normal_form(spoly, els).is_zero, (els[i], els[j])
 
 
 class TestColength:
@@ -356,6 +464,34 @@ class TestForcedRoutes:
                 ideal = Ideal.of(f, (Poly.one() + X) * f) + maximal_ideal_power(k)
                 before = routes["capped"]
                 assert colength(ideal) == dim_mk_plus_f_closed(m, k)
+                assert routes["capped"] > before
+
+    def test_capped_route_matches_milnor_k_closed(self, routes):
+        for f, mu, m in _family():
+            for k in range(6):
+                assert milnor_k(f, k) == milnor_k_closed(mu, m, k), (f, k)
+        assert routes["capped"] > 0 and routes["split"] == 0
+
+    def test_capped_route_matches_reduced_singularities(self, routes):
+        # normal forms of a non-degenerate singularity and of saddle-nodes of
+        # index l, with separatrices xy, pulled back by the shear y -> y + x:
+        # the normal forms are already standard bases, the sheared ones are not
+        def shear(p):
+            return sum(
+                (Poly.term((a, 0), c) * (Y + X) ** b for (a, b), c in p.terms), Poly.zero()
+            )
+
+        cases = [(3 * Y - X * Y, 2 * X + X * Y, ReducedSingularityKind.non_degenerate())]
+        for ell in (1, 2, 3):
+            cases.append((-Y - X**ell * Y, X ** (ell + 1), ReducedSingularityKind.saddle_node(ell)))
+        separatrices = curve(shear(X * Y))
+        for p, q, kind in cases:
+            # P dx + Q dy pulls back to (P' + Q') dx + Q' dy
+            fol = Foliation(shear(p) + shear(q), shear(q))
+            for k in range(5):
+                before = routes["capped"]
+                got = (foliation_milnor_k(fol, k), foliation_tjurina_k(fol, separatrices, k))
+                assert got == reduced_singularity_invariants(kind, k), (kind, k)
                 assert routes["capped"] > before
 
     def test_membership_through_a_unit_factor(self, routes):
