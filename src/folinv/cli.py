@@ -4,7 +4,11 @@ Grammar of polynomial expressions: variables ``x`` and ``y``; integer and
 rational literals (``3``, ``2/5``); operators ``+ - * ^`` with explicit ``*``
 (no implicit multiplication) and ``^`` restricted to nonnegative integer
 exponents up to 10^6; parentheses; insignificant whitespace.  Syntax errors
-carry the byte offset and the set of expected tokens.
+carry the byte offset and the set of expected tokens.  A product or power of
+polynomials with more than one term is refused before it is computed when a
+bound on its size, terms times coefficient bits, exceeds 10^6.
+
+Orders (``--k``, ``--mk``, ``--k-max``) and ``--samples`` are at most 100.
 
 Exit codes: 0 for success (including boolean results of ``true``), 1 for a
 ``false``/failed check or any failed scenario, 2 for input errors (bad
@@ -28,6 +32,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm, log2, prod
 from typing import NamedTuple
 
 from . import scenarios as scenarios_mod
@@ -152,7 +157,46 @@ def _tokenize(text: str) -> list:
 
 
 _EXPONENT_CAP = 10**6
+_SIZE_BUDGET = 10**6
 _ATOM_EXPECTED = {"number", "'x'", "'y'", "'('", "'-'"}
+
+
+def _shape(p: Poly) -> tuple:
+    """(terms, degree in x, degree in y, log2(D * |D*p|_1)) of p.
+
+    D is the common denominator of the coefficients and |.|_1 the sum of the
+    absolute values of the coefficients.  In a product of powers of such
+    polynomials, numerators and denominators have at most sum(e * last entry)
+    + 1 bits.
+    """
+    den = lcm(*(c.denominator for _, c in p.terms))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for _, c in p.terms)
+    return (
+        len(p.terms),
+        max(m[0] for m, _ in p.terms),
+        max(m[1] for m, _ in p.terms),
+        log2(norm) + log2(den),
+    )
+
+
+def _check_size(op: _Token, factors: list) -> None:
+    """Refuse a product of factors, given as (:func:`_shape`, exponent) pairs,
+    when a bound on its terms times its coefficient bits exceeds the budget.
+
+    The terms are bounded by the multinomial count and by the box of
+    exponents, the coefficient bits by the l1 norms.
+    """
+    terms = prod(comb(e + shape[0] - 1, shape[0] - 1) for shape, e in factors)
+    dx = sum(shape[1] * e for shape, e in factors)
+    dy = sum(shape[2] * e for shape, e in factors)
+    terms = min(terms, (dx + 1) * (dy + 1))
+    bits = int(sum(shape[3] * e for shape, e in factors)) + 1
+    if terms * bits > _SIZE_BUDGET:
+        raise PreconditionError(
+            f"{op.value!r} at byte offset {op.offset} would give up to {terms}"
+            f" terms of up to {bits} bits; the limit is {_SIZE_BUDGET}"
+            " terms times bits"
+        )
 
 
 class _Parser:
@@ -190,8 +234,11 @@ class _Parser:
     def _term(self) -> Poly:
         node = self._unary()
         while self._peek().kind == "STAR":
-            self._advance()
-            node = node * self._unary()
+            op = self._advance()
+            rhs = self._unary()
+            if len(node.terms) > 1 and len(rhs.terms) > 1:
+                _check_size(op, [(_shape(node), 1), (_shape(rhs), 1)])
+            node = node * rhs
         return node
 
     def _unary(self) -> Poly:
@@ -203,7 +250,7 @@ class _Parser:
     def _power(self) -> Poly:
         node = self._atom()
         if self._peek().kind == "CARET":
-            self._advance()
+            op = self._advance()
             tok = self._peek()
             if tok.kind != "NUM" or tok.value.denominator != 1:
                 raise ParseError(
@@ -219,6 +266,8 @@ class _Parser:
                     {"integer exponent <= 10^6"},
                 )
             self._advance()
+            if len(node.terms) > 1:
+                _check_size(op, [(_shape(node), exponent)])
             return node**exponent
         return node
 
@@ -317,13 +366,22 @@ class Outcome:
 # -- command table ------------------------------------------------------------
 
 
+# Orders and sample counts beyond this run for minutes to hours: mu^1000 of
+# x^5+y^7+2x^2y^3 did not finish in two minutes on 2 cores, and every sample
+# is one more colength.
+_COUNT_CAP = 100
+
+
 def _nonneg(text: str) -> int:
+    """An argparse type for orders and sample counts: an integer in 0.._COUNT_CAP."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
+    if value > _COUNT_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {_COUNT_CAP}")
     return value
 
 

@@ -17,13 +17,13 @@ primitive, positive-leading representative loses nothing).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from heapq import heappop, heappush
 from math import gcd
 
-from .ring import Monomial, Poly, monomial_divides, monomial_mul
+from .ring import Monomial, Poly, monomial_divides
 
 # -- packed monomial codes --------------------------------------------------
 #
@@ -49,16 +49,6 @@ def _code_divides(c1: int, c2: int) -> bool:
     b1 = c1 & _MASK
     b2 = c2 & _MASK
     return b1 <= b2 and (c1 >> _SHIFT) - b1 <= (c2 >> _SHIFT) - b2
-
-
-def _code_lcm(c1: int, c2: int) -> int:
-    b1 = c1 & _MASK
-    b2 = c2 & _MASK
-    a1 = (c1 >> _SHIFT) - b1
-    a2 = (c2 >> _SHIFT) - b2
-    a = a1 if a1 >= a2 else a2
-    b = b1 if b1 >= b2 else b2
-    return ((a + b) << _SHIFT) | b
 
 
 # Internal polynomials: lists of (code, int_coeff), sorted ascending by code
@@ -143,8 +133,8 @@ def _reduce_step(h: list, g: list) -> list:
     return _strip(_combine(h, lcg // d, 0, g, -(lch // d), h[0][0] - g[0][0]))
 
 
-def _spoly(t1: list, t2: list) -> list:
-    lcm = _code_lcm(t1[0][0], t2[0][0])
+def _spoly(t1: list, t2: list, lcm: int) -> list:
+    """The s-polynomial of t1 and t2; ``lcm`` is the code of lcm(LM_1, LM_2)."""
     d = gcd(t1[0][1], t2[0][1])
     return _strip(
         _combine(
@@ -158,8 +148,33 @@ def _truncate(t: list, bound: int) -> list:
     return [term for term in t if (term[0] >> _SHIFT) < bound]
 
 
-def _staircase_bound(lms: list) -> "int | None":
-    """Smallest N with m^N inside the monomial ideal of the given leading codes.
+def _staircase(lms) -> "list | None":
+    """Column heights of the staircase of the monomial ideal of ``lms``.
+
+    ``lms`` holds exponent pairs (a, b).  Entry i is the number of monomials
+    x^i y^b outside the ideal, for i below the least pure power of x; None
+    when the staircase is infinite (no pure power of x or of y).
+    """
+    bound_x = bound_y = None
+    for a, b in lms:
+        if b == 0 and (bound_x is None or a < bound_x):
+            bound_x = a
+        if a == 0 and (bound_y is None or b < bound_y):
+            bound_y = b
+    if bound_x is None or bound_y is None:
+        return None
+    heights = []
+    for i in range(bound_x):
+        blocked = bound_y
+        for a, b in lms:
+            if a <= i and b < blocked:
+                blocked = b
+        heights.append(blocked)
+    return heights
+
+
+def _staircase_bound(lms) -> "int | None":
+    """Smallest N with m^N inside the monomial ideal of the exponent pairs ``lms``.
 
     None when the staircase is infinite (no pure power of x or of y yet).
     Once the partial basis reaches such an N, every monomial of degree >= N
@@ -168,27 +183,10 @@ def _staircase_bound(lms: list) -> "int | None":
     and Mora division terminates -- hence m^N is contained in the ideal and
     terms beyond the staircase may be discarded everywhere.
     """
-    bound_x = bound_y = None
-    decoded = []
-    for code in lms:
-        b = code & _MASK
-        a = (code >> _SHIFT) - b
-        decoded.append((a, b))
-        if b == 0 and (bound_x is None or a < bound_x):
-            bound_x = a
-        if a == 0 and (bound_y is None or b < bound_y):
-            bound_y = b
-    if bound_x is None or bound_y is None:
+    heights = _staircase(lms)
+    if heights is None:
         return None
-    n = 0
-    for i in range(bound_x):
-        blocked = bound_y
-        for a, b in decoded:
-            if a <= i and b < blocked:
-                blocked = b
-        if i + blocked > n:
-            n = i + blocked
-    return n
+    return max((i + h for i, h in enumerate(heights)), default=0)
 
 
 class _Blowup(Exception):
@@ -293,24 +291,28 @@ def _std(gens: list) -> list:
     computed, since full tail reduction need not terminate under a local
     order; the final basis is minimalized.
 
-    Three criteria settle a pair without reducing its s-polynomial:
+    Pairs are installed as in Gebauer-Moeller (1988), whose criteria hold for
+    local orders as well (Greuel-Pfister 1.7).  When element j joins, with
+    L_ij = lcm(LM_i, LM_j):
 
-    * truncation: every term of the s-polynomial has degree at least that of
-      the lcm, so a pair whose lcm has degree >= the staircase bound lies in
-      a power of the maximal ideal already known to be contained in the ideal;
-    * product criterion: leading monomials that are coprime;
-    * chain criterion (Buchberger's second criterion, which holds for local
-      orders as well; Greuel-Pfister 1.7, Gebauer-Moeller 1988): some other
-      element l has LM_l | lcm(LM_i, LM_j) and neither (i, l) nor (j, l) is
-      still pending.  The s-polynomial of (i, j) is then a combination of
-      theirs with smaller leading monomials, so it has a standard
-      representation once they have one.
+    * truncation: every term of the s-polynomial of (i, j) has degree at
+      least that of L_ij, so a pair with deg L_ij >= the staircase bound lies
+      in a power of the maximal ideal already known to be contained in the
+      ideal;
+    * criterion M: (i, j) is dropped when some L_lj properly divides L_ij;
+    * criterion F: of the new pairs with one lcm, one is kept, and none when
+      one of them has coprime leading monomials (the product criterion).  In
+      the plane truncation settles such a pair first: x^a and y^b bound the
+      staircase below degree a + b;
+    * criterion B: a queued (i, l) is dropped when LM_j divides L_il and
+      L_il differs from both L_ij and L_lj.
 
-    A pair the first two criteria settle when it is created never enters the
-    queue.  The staircase bound only falls as the basis grows, so truncation
-    is checked again when a pair is taken off the queue, and so is the chain
-    criterion.  ``pending`` holds the queued pairs; every other pair is
-    settled, whether it was dismissed, skipped or reduced.
+    Each dropped pair has an s-polynomial that is a combination of the
+    s-polynomials of pairs that are kept, with smaller leading monomials, or
+    that lies in the truncation power; so it has a standard representation
+    once they have one.  The staircase bound only falls as the basis grows,
+    and the queue is ordered by lcm degree, so the first pair taken off it
+    at or beyond the bound ends the loop.
 
     All reductions run against a shared work budget and may raise
     :class:`_Blowup`: even with a truncation degree, which makes every walk
@@ -318,61 +320,64 @@ def _std(gens: list) -> list:
     coefficient sizes past any practical bound.
     """
     G = [list(g) for g in gens if g]
-    lms = [g[0][0] for g in G]
     reducers = [_reducer(g) for g in G]
-    trunc = _staircase_bound(lms)
+    exps = [r[:2] for r in reducers]
+    trunc = _staircase_bound(exps)
     counter = [_NF_STEP_BUDGET]
     heap = []
-    pending = set()
+    queued = {}  # the queued pairs that criterion B left: (i, j) -> L_ij
 
-    def add_pairs(j: int) -> None:
-        lmj = lms[j]
-        for i in range(j):
-            lcm = _code_lcm(lms[i], lmj)
-            deg = lcm >> _SHIFT
-            if trunc is not None and deg >= trunc:
-                continue
-            if _PRODUCT_CRITERION and lcm == lms[i] + lmj:
-                continue
-            heapq.heappush(heap, (deg, i, j, lcm))
-            pending.add((i, j))
+    def install(j: int) -> None:
+        aj, bj = exps[j]
+        doomed = []
+        for (i, l), (a, b) in queued.items():
+            if aj <= a and bj <= b:
+                ai, bi = exps[i]
+                al, bl = exps[l]
+                if (max(ai, aj) != a or max(bi, bj) != b) and (
+                    max(al, aj) != a or max(bl, bj) != b
+                ):
+                    doomed.append((i, l))
+        for pair in doomed:
+            del queued[pair]
+        new = []
+        for i, (ai, bi) in zip(range(j), exps):
+            a = ai if ai > aj else aj
+            b = bi if bi > bj else bj
+            if trunc is None or a + b < trunc:
+                # shared: the leading monomials are not coprime
+                new.append((a, b, a != ai + aj or b != bi + bj, i))
+        # By lcm, and within one lcm a coprime pair first.  A pair is kept
+        # when its lcm is minimal (M) and it comes first with it (F).
+        new.sort()
+        least_b = None
+        for a, b, shared, i in new:
+            if least_b is None or b < least_b:
+                least_b = b
+                if shared or not _PRODUCT_CRITERION:
+                    heappush(heap, (a + b, i, j))
+                    queued[(i, j)] = (a, b)
 
     for j in range(len(G)):
-        add_pairs(j)
+        install(j)
     while heap:
-        lcm_deg, i, j, lcm = heapq.heappop(heap)
-        pending.remove((i, j))
-        if trunc is not None and lcm_deg >= trunc:
+        deg, i, j = heappop(heap)
+        if trunc is not None and deg >= trunc:
+            break
+        lcm = queued.pop((i, j), None)
+        if lcm is None:
             continue
-        if _chain_settled(i, j, lcm, lms, pending):
-            continue
-        s = _spoly(G[i], G[j])
+        s = _spoly(G[i], G[j], (deg << _SHIFT) | lcm[1])
         if not s:
             continue
         r = _mora_nf(s, reducers, trunc, counter)
         if r:
             G.append(r)
             reducers.append(_reducer(r))
-            lms.append(r[0][0])
-            trunc = _staircase_bound(lms)
-            add_pairs(len(G) - 1)
+            exps.append(reducers[-1][:2])
+            trunc = _staircase_bound(exps)
+            install(len(G) - 1)
     return _minimalize(G)
-
-
-def _chain_settled(i: int, j: int, lcm: int, lms: list, pending: set) -> bool:
-    """Buchberger's chain criterion for the pair (i, j), i < j, see :func:`_std`."""
-    b = lcm & _MASK
-    a = (lcm >> _SHIFT) - b
-    for l, code in enumerate(lms):
-        bl = code & _MASK
-        if bl > b or (code >> _SHIFT) - bl > a or l == i or l == j:
-            continue
-        if ((i, l) if i < l else (l, i)) in pending:
-            continue
-        if ((j, l) if j < l else (l, j)) in pending:
-            continue
-        return True
-    return False
 
 
 # -- public types -----------------------------------------------------------
@@ -443,8 +448,12 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     return i * j
 
 
+@lru_cache(maxsize=64)
 def maximal_ideal_power(k: int) -> Ideal:
-    """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1)."""
+    """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1).
+
+    Memoized: a k-sweep asks for the same few powers over and over.
+    """
     if k < 0:
         raise ValueError("negative power of the maximal ideal")
     return Ideal(tuple(Poly.term((k - i, i)) for i in range(k + 1)))
@@ -452,12 +461,24 @@ def maximal_ideal_power(k: int) -> Ideal:
 
 @dataclass(frozen=True)
 class StandardBasis:
-    """Standard basis of an ideal: monic elements, minimal set of leading monomials."""
+    """Standard basis of an ideal: monic elements, minimal set of leading monomials.
+
+    ``packed`` holds the elements as the engine computed them, as internal
+    polynomials; ``elements`` and ``leading_monomials`` are read off them on
+    first access.
+    """
 
     source: Ideal
-    elements: tuple[Poly, ...]
-    leading_monomials: tuple[Monomial, ...]
+    packed: tuple
     order_tag: str = "ds"
+
+    @cached_property
+    def elements(self) -> tuple[Poly, ...]:
+        return tuple(_to_poly(t).monic() for t in self.packed)
+
+    @cached_property
+    def leading_monomials(self) -> tuple[Monomial, ...]:
+        return tuple(_decode(t[0][0]) for t in self.packed)
 
 
 # -- public operations ------------------------------------------------------
@@ -483,16 +504,15 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
         return _mora_nf_certified(f, basis)
     if f.is_zero:
         return Poly.zero()
-    internal = [_to_internal(g) for g in basis]
+    reducers = [_reducer(_to_internal(g)) for g in basis]
     # Truncation is sound against ANY basis, standard or not: if the basis
     # leading monomials admit a staircase bound N, every monomial of degree
     # >= N weak-reduces to zero (see _staircase_bound), so m^N lies in the
     # generated ideal and terms of degree >= N may be dropped.  It also makes
     # the walk finite-by-construction: each step strictly increases the
     # leading code, which truncation bounds.
-    trunc = _staircase_bound([t[0][0] for t in internal])
-    r = _mora_nf(_to_internal(f), [_reducer(t) for t in internal], trunc)
-    return _to_poly(r)
+    trunc = _staircase_bound([r[:2] for r in reducers])
+    return _to_poly(_mora_nf(_to_internal(f), reducers, trunc))
 
 
 def _mora_nf_certified(f: Poly, basis: list):
@@ -712,10 +732,19 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     for i in range(cap + 1):
         out.append([(_encode((cap - i, i)), 1)])
     basis = _minimalize(out)
-    n = _staircase_bound([t[0][0] for t in basis])
+    n = _staircase_bound([_decode(t[0][0]) for t in basis])
     if n is not None and n < cap:
         return basis
     return None
+
+
+def _product(t1, t2) -> list:
+    """The product of two internal polynomials."""
+    acc: dict = {}
+    for c1, v1 in t1:
+        for c2, v2 in t2:
+            acc[c1 + c2] = acc.get(c1 + c2, 0) + v1 * v2
+    return _strip(sorted((c, v) for c, v in acc.items() if v))
 
 
 def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
@@ -740,19 +769,15 @@ def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
             # A standard basis of g*J is g times one of J: leading monomials
             # multiply, so the leading ideals match on both sides.
             g, cofactors = split
-            inner = _standard_basis_cached(cofactors)
-            glm = g.leading_monomial()
-            elements = tuple((g * s).monic() for s in inner.elements)
-            lms = tuple(monomial_mul(glm, lm) for lm in inner.leading_monomials)
-            return StandardBasis(
-                source=Ideal(gens), elements=elements, leading_monomials=lms
-            )
-    elements = tuple(_to_poly(t).monic() for t in internal)
-    lms = tuple(_decode(t[0][0]) for t in internal)
-    return StandardBasis(source=Ideal(gens), elements=elements, leading_monomials=lms)
+            g = _to_internal(g)
+            inner = _standard_basis_cached(cofactors).packed
+            internal = [_product(g, t) for t in inner]
+    return StandardBasis(Ideal(gens), tuple(map(tuple, internal)))
 
 
-_standard_basis_cached = lru_cache(maxsize=None)(_standard_basis_from_gens)
+# Bounded: one k-sweep pass of perfbench asks for about 1 050 distinct ideals,
+# and an evicted basis is only recomputed.
+_standard_basis_cached = lru_cache(maxsize=4096)(_standard_basis_from_gens)
 
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
@@ -774,24 +799,8 @@ def colength(ideal: Ideal) -> "int | _Infinite":
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has infinite colength in every sense")
-    lms = standard_basis(ideal).leading_monomials
-    bound_x = None
-    bound_y = None
-    for a, b in lms:
-        if b == 0 and (bound_x is None or a < bound_x):
-            bound_x = a
-        if a == 0 and (bound_y is None or b < bound_y):
-            bound_y = b
-    if bound_x is None or bound_y is None:
-        return INFINITE
-    count = 0
-    for i in range(bound_x):
-        blocked = bound_y
-        for a, b in lms:
-            if a <= i and b < blocked:
-                blocked = b
-        count += blocked
-    return count
+    heights = _staircase(standard_basis(ideal).leading_monomials)
+    return INFINITE if heights is None else sum(heights)
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:
@@ -801,12 +810,11 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     if f.is_zero:
         return True
     sb = standard_basis(ideal)
-    basis = [_to_internal(g) for g in sb.elements]
-    trunc = _staircase_bound([t[0][0] for t in basis])
+    trunc = _staircase_bound(sb.leading_monomials)
     counter = None if trunc is not None else [_NF_STEP_BUDGET]
     try:
         return not _mora_nf(
-            _to_internal(f), [_reducer(t) for t in basis], trunc, counter
+            _to_internal(f), [_reducer(t) for t in sb.packed], trunc, counter
         )
     except _Blowup:
         split = _split_common_factor(ideal.generators)

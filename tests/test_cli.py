@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 import folinv
+from folinv import cli
 from folinv.cli import ParseError, _tokenize, canonical, evaluate, main, parse_poly
+from folinv.invariants import PreconditionError, milnor_k_closed
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import INFINITE
 
@@ -318,6 +320,74 @@ class TestExitCodeMatrix:
         with pytest.raises(SystemExit) as exc:
             main(["milnor", "--k", "-1", "x^2+y^3"])
         assert exc.value.code == 2
+
+
+class TestInputLimits:
+    """Inputs that would run for hours are refused before any computation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["milnor", "x^2+y^3", "--k", "101"],
+            ["vdim", "x", "--mk", "101"],
+            ["check", "ratio", "--f", "x^3+y^4", "--k-max", "101"],
+            ["polar", "--P", "x", "--Q", "y", "--f", "x", "--samples", "101"],
+        ],
+    )
+    def test_counts_above_the_cap_are_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be at most 100" in capsys.readouterr().err
+
+    def test_counts_at_the_cap_are_accepted(self, capsys):
+        assert run_cli(capsys, "milnor", "--k", "100", "x^2+y^3")[:2] == (
+            0, str(milnor_k_closed(2, 2, 100)),
+        )
+        assert run_cli(capsys, "vdim", "--mk", "100")[:2] == (0, "5050")
+
+    def test_hanging_inputs_exit_2_at_once(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["milnor", "x^2+y^3", "--k", "100000"])
+        assert exc.value.code == 2
+        assert "must be at most 100" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "milnor", "(x+y)^100000+y^7")
+        assert code == 2
+        assert err.startswith("error: '^' at byte offset 5") and "limit is 1000000" in err
+        assert time.perf_counter() - start < 1
+
+    def test_single_terms_keep_the_exponent_cap(self):
+        assert parse_poly("x^100000*y^7") == X**100000 * Y**7
+        assert parse_poly("(2*x)^20") == 2**20 * X**20
+
+    def test_size_bound_covers_the_result(self, monkeypatch):
+        # with the budget just below the true size, terms times the bits of
+        # the larger of numerator and denominator, every input is refused: the
+        # bound is never below the result
+        for text in (
+            "(x+y)^7",
+            "(1+x+y)^6",
+            "(2/3*x-5*y+x*y)^5",
+            "(x-y)^4*(3*x+1/2)^3",
+            "(x^3-y^2)*(x^2*y+7/9*y^5)",
+            "(x+y)^0",
+        ):
+            p = parse_poly(text)
+            bits = max(
+                max(c.numerator.bit_length(), c.denominator.bit_length())
+                for _, c in p.terms
+            )
+            monkeypatch.setattr(cli, "_SIZE_BUDGET", len(p.terms) * bits - 1)
+            with pytest.raises(PreconditionError, match="terms times bits"):
+                parse_poly(text)
+            monkeypatch.undo()
+
+    def test_products_share_the_budget(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SIZE_BUDGET", 100)
+        assert parse_poly("(x+y)^5") == (X + Y) ** 5
+        with pytest.raises(PreconditionError, match="'\\*' at byte offset 7"):
+            parse_poly("(x+y)^5*(x-y)^5")
 
 
 REGISTRY_TEXT = """\

@@ -175,7 +175,7 @@ class TestStandardBasis:
 
     def test_chain_criterion_saves_reductions(self, monkeypatch):
         # mu^12 of x^5 + y^7 + 2x^2y^3 took 34 normal forms with the product
-        # criterion alone and takes 13 with the chain criterion
+        # criterion alone and takes 13 with the chain criteria (B and M)
         calls = []
         nf = stdbasis._mora_nf
 
@@ -189,6 +189,105 @@ class TestStandardBasis:
         assert milnor_k(f, 12) == milnor_k_closed(mu, m, 12)
         stdbasis._standard_basis_cached.cache_clear()
         assert 0 < len(calls) <= 20
+
+    def test_gebauer_moeller_queues_few_pairs(self, monkeypatch):
+        # the same sweep queued 326 pairs when every pair that truncation and
+        # the product criterion left entered the queue, and queues 26 now
+        pushed = []
+        push = stdbasis.heappush
+
+        def counted(heap, item):
+            pushed.append(item)
+            push(heap, item)
+
+        monkeypatch.setattr(stdbasis, "heappush", counted)
+        stdbasis._standard_basis_cached.cache_clear()
+        f, mu, m = next(_family())
+        assert milnor_k(f, 12) == milnor_k_closed(mu, m, 12)
+        stdbasis._standard_basis_cached.cache_clear()
+        assert 0 < len(pushed) <= 40
+
+    def test_gebauer_moeller_criteria_save_work(self, monkeypatch):
+        # mu^k and tau^k ideals of the FAMILY germs, k <= 12: 2125 pairs
+        # queued and 1153 s-polynomials.  Without criterion F, 2682 pairs;
+        # without the truncation test when a pair is made, 2717; without
+        # criterion B, 1286 s-polynomials; without the truncation break,
+        # 1791.  (The product criterion never fires here: a coprime pair
+        # x^a, y^b has an lcm of degree a + b, beyond the staircase bound.)
+        counts = {"queued": 0, "spoly": 0}
+        push, spoly = stdbasis.heappush, stdbasis._spoly
+
+        def counted_push(heap, item):
+            counts["queued"] += 1
+            push(heap, item)
+
+        def counted_spoly(*args):
+            counts["spoly"] += 1
+            return spoly(*args)
+
+        monkeypatch.setattr(stdbasis, "heappush", counted_push)
+        monkeypatch.setattr(stdbasis, "_spoly", counted_spoly)
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            for f, mu, m in _family():
+                jac = Ideal.of(f.partial_x(), f.partial_y())
+                for k in range(13):
+                    ideal = jac * maximal_ideal_power(k)
+                    assert colength(ideal) == milnor_k_closed(mu, m, k)
+                    colength(ideal + Ideal.of(f))
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+        assert counts["queued"] <= 2200 and counts["spoly"] <= 1200, counts
+
+    def test_public_operations_build_no_poly(self, monkeypatch):
+        # colength, leading_ideal and contains read the packed elements; only
+        # StandardBasis.elements turns them into Polys
+        def refuse(t):
+            raise AssertionError("_to_poly called")
+
+        monkeypatch.setattr(stdbasis, "_to_poly", refuse)
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            for ideal in (
+                Ideal.of(F_RUN, G_RUN),
+                Ideal.of(X * F_RUN, X * G_RUN),
+                Ideal.of(F_RUN.partial_x(), F_RUN.partial_y()) * maximal_ideal_power(3),
+            ):
+                colength(ideal)
+                leading_ideal(ideal)
+                contains(ideal, X**7 * Y**7)
+                contains(ideal, X * Y)
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+
+
+class TestCaches:
+    def test_basis_cache_is_bounded_and_counts(self):
+        cached = stdbasis._standard_basis_cached
+        size = cached.cache_info().maxsize
+        assert size is not None and size >= 4096
+        cached.cache_clear()
+        try:
+            first = Ideal.of(F_RUN, G_RUN)
+            expect = colength(first)
+            assert colength(first) == expect
+            assert cached.cache_info()[:2] == (1, 1)  # hits, misses
+            for i in range(size):  # evicts the least recently used: first
+                standard_basis(Ideal.of(X, Y ** (i + 2)))
+            info = cached.cache_info()
+            assert (info.misses, info.currsize) == (size + 1, size)
+            assert colength(first) == expect
+            assert cached.cache_info()[:2] == (1, size + 2)
+        finally:
+            cached.cache_clear()
+
+    def test_maximal_ideal_powers_are_memoized(self):
+        info = maximal_ideal_power.cache_info()
+        assert info.maxsize is not None
+        assert maximal_ideal_power(7) is maximal_ideal_power(7)
+        assert maximal_ideal_power.cache_info().hits > info.hits
+        with pytest.raises(ValueError):
+            maximal_ideal_power(-1)
 
 
 # x^a + y^b + lam * x^c * y^d, with (c, d) off the segment from (a, 0) to (0, b)
