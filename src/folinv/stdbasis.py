@@ -189,20 +189,6 @@ def _staircase_bound(lms) -> "int | None":
     return max((i + h for i, h in enumerate(heights)), default=0)
 
 
-class _Blowup(Exception):
-    """Raised when a reduction exceeds its work budget.
-
-    Two distinct failure modes end up here.  Without a truncation degree the
-    walk length of Mora reduction has no useful a-priori bound, and ideals
-    whose generators share a factor vanishing at the origin (so that no
-    truncation degree ever appears) walk forever; the caller splits off the
-    common factor and restarts on the cofactors.  With a truncation degree
-    the walk is finite but iterated pseudo-reduction can still compound
-    integer coefficients exponentially; the caller switches to degree-capped
-    linear algebra, whose swell is at worst polynomial.
-    """
-
-
 _NF_STEP_BUDGET = 20000
 _COEFF_BIT_LIMIT = 6000
 
@@ -217,8 +203,8 @@ def _reducer(t: list) -> tuple:
 
 
 def _mora_nf(
-    h: list, basis: list, trunc: "int | None" = None, budget: "list | None" = None
-) -> list:
+    h: list, basis: list, trunc: "int | None" = None, budget: "int | None" = None
+) -> "list | None":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
 
     Reducer choice: among the reducers whose leading monomial divides the
@@ -231,18 +217,23 @@ def _mora_nf(
     terms of degree >= N are discarded as they appear, which keeps both the
     walk length and the integer coefficients bounded.
 
-    ``budget`` is a single-element mutable step counter shared across calls;
-    when it runs out, or a coefficient outgrows any size a well-posed
-    computation here produces, :class:`_Blowup` is raised.
+    ``budget`` caps the reduction steps of this one walk.  The walk gives up
+    and returns None when the budget runs out, or when a coefficient outgrows
+    any size a well-posed computation here produces.  Two failures end up
+    here.  Without a truncation degree the walk length has no useful
+    a-priori bound, and ideals whose generators share a factor vanishing at
+    the origin (so that no truncation degree ever appears) may walk forever.
+    With one, the walk is finite but iterated pseudo-reduction against
+    adjoined reducers can still compound integer coefficients exponentially.
     """
     if trunc is not None:
         h = _truncate(h, trunc)
     reducers = list(basis)
     while h:
         if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0 or h[0][1].bit_length() > _COEFF_BIT_LIMIT:
-                raise _Blowup
+            budget -= 1
+            if budget < 0 or h[0][1].bit_length() > _COEFF_BIT_LIMIT:
+                return None
         lmh = h[0][0]
         ah, bh = _decode(lmh)
         best_key = None
@@ -280,10 +271,7 @@ def _minimalize(lms_terms: list) -> list:
     return kept
 
 
-_PRODUCT_CRITERION = True
-
-
-def _std(gens: list) -> list:
+def _std(gens: list) -> "list | None":
     """Tangent-cone standard basis of a list of internal polynomials.
 
     Normal strategy: s-pairs are processed by increasing total degree of the
@@ -300,10 +288,10 @@ def _std(gens: list) -> list:
       in a power of the maximal ideal already known to be contained in the
       ideal;
     * criterion M: (i, j) is dropped when some L_lj properly divides L_ij;
-    * criterion F: of the new pairs with one lcm, one is kept, and none when
-      one of them has coprime leading monomials (the product criterion).  In
-      the plane truncation settles such a pair first: x^a and y^b bound the
-      staircase below degree a + b;
+    * criterion F: of the new pairs with one lcm, one is kept.  Gebauer and
+      Moeller keep none when one of them has coprime leading monomials (the
+      product criterion); in the plane truncation drops such a pair first,
+      since x^a and y^b bound the staircase below degree a + b;
     * criterion B: a queued (i, l) is dropped when LM_j divides L_il and
       L_il differs from both L_ij and L_lj.
 
@@ -314,16 +302,13 @@ def _std(gens: list) -> list:
     and the queue is ordered by lcm degree, so the first pair taken off it
     at or beyond the bound ends the loop.
 
-    All reductions run against a shared work budget and may raise
-    :class:`_Blowup`: even with a truncation degree, which makes every walk
-    finite, iterated pseudo-reduction against adjoined reducers can compound
-    coefficient sizes past any practical bound.
+    Each normal form runs under its own step budget of _NF_STEP_BUDGET; when
+    one gives up (see :func:`_mora_nf`), so does the run, returning None.
     """
     G = [list(g) for g in gens if g]
     reducers = [_reducer(g) for g in G]
     exps = [r[:2] for r in reducers]
     trunc = _staircase_bound(exps)
-    counter = [_NF_STEP_BUDGET]
     heap = []
     queued = {}  # the queued pairs that criterion B left: (i, j) -> L_ij
 
@@ -345,18 +330,16 @@ def _std(gens: list) -> list:
             a = ai if ai > aj else aj
             b = bi if bi > bj else bj
             if trunc is None or a + b < trunc:
-                # shared: the leading monomials are not coprime
-                new.append((a, b, a != ai + aj or b != bi + bj, i))
-        # By lcm, and within one lcm a coprime pair first.  A pair is kept
-        # when its lcm is minimal (M) and it comes first with it (F).
+                new.append((a, b, i))
+        # By lcm; a pair is kept when its lcm is minimal (M) and it comes
+        # first with it (F).
         new.sort()
         least_b = None
-        for a, b, shared, i in new:
+        for a, b, i in new:
             if least_b is None or b < least_b:
                 least_b = b
-                if shared or not _PRODUCT_CRITERION:
-                    heappush(heap, (a + b, i, j))
-                    queued[(i, j)] = (a, b)
+                heappush(heap, (a + b, i, j))
+                queued[(i, j)] = (a, b)
 
     for j in range(len(G)):
         install(j)
@@ -370,7 +353,9 @@ def _std(gens: list) -> list:
         s = _spoly(G[i], G[j], (deg << _SHIFT) | lcm[1])
         if not s:
             continue
-        r = _mora_nf(s, reducers, trunc, counter)
+        r = _mora_nf(s, reducers, trunc, _NF_STEP_BUDGET)
+        if r is None:
+            return None
         if r:
             G.append(r)
             reducers.append(_reducer(r))
@@ -748,22 +733,17 @@ def _product(t1, t2) -> list:
 
 
 def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
-    try:
-        internal = _std([_to_internal(g) for g in gens])
-    except _Blowup:
+    packed = [_to_internal(g) for g in gens]
+    internal = _std(packed)
+    if internal is None:
         split = _split_common_factor(gens)
         if split is None:
             # No common factor through the origin: the ideal is
             # zero-dimensional in the local ring, so some degree cap will be
             # accepted; doubling reaches it in O(log) attempts.  Elimination
             # cost grows steeply with the cap, so start small.
-            internal_gens = [_to_internal(g) for g in gens]
             cap = 4
-            while True:
-                capped = _capped_std(internal_gens, cap)
-                if capped is not None:
-                    internal = capped
-                    break
+            while (internal := _capped_std(packed, cap)) is None:
                 cap *= 2
         else:
             # A standard basis of g*J is g times one of J: leading monomials
@@ -804,33 +784,20 @@ def colength(ideal: Ideal) -> "int | _Infinite":
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:
-    """Membership of f in the ideal, inside the local ring."""
+    """Membership of f in the ideal, inside the local ring.
+
+    With a finite staircase the truncated normal form of f against the
+    standard basis decides.  Otherwise f lies in I exactly when adjoining it
+    leaves the leading ideal unchanged: I is inside I + (f), and ideals
+    I inside J of the local ring with L(I) = L(J) are equal (Greuel-Pfister
+    1.6).
+    """
     if ideal.is_zero:
         return f.is_zero
     if f.is_zero:
         return True
     sb = standard_basis(ideal)
     trunc = _staircase_bound(sb.leading_monomials)
-    counter = None if trunc is not None else [_NF_STEP_BUDGET]
-    try:
-        return not _mora_nf(
-            _to_internal(f), [_reducer(t) for t in sb.packed], trunc, counter
-        )
-    except _Blowup:
-        split = _split_common_factor(ideal.generators)
-        if split is None:
-            raise RuntimeError(
-                "membership walk without a staircase bound, yet the generators"
-                " share no factor through the origin"
-            )
-        # The ideal is g*J, g = v*w as in _split_common_factor, and f lies in
-        # it iff v divides f (locally, equivalently as polynomials: f then
-        # vanishes on a branch of each factor, hence on all of it) and f/g lies
-        # in J.  w need not divide f, so divide by d = gcd(f, g): v divides f
-        # iff g/d is a unit, and then f/d is a unit multiple of f/g.
-        g, cofactors = split
-        zf, zg = _zz(f), _zz(g)
-        d = _zgcd(zf, zg)
-        if (0, 0) not in _zquo(zg, d):
-            return False
-        return contains(Ideal(cofactors), Poly.from_dict(_zquo(zf, d)))
+    if trunc is None:
+        return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)
+    return not _mora_nf(_to_internal(f), [_reducer(t) for t in sb.packed], trunc)

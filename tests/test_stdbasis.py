@@ -412,18 +412,51 @@ class TestColength:
             checked += 1
         assert checked >= 15
 
-    def test_product_criterion_regression(self, monkeypatch):
-        rng = random.Random(2718)
-        cases = []
-        for _ in range(12):
-            gens = tuple(rand_poly(rng) for _ in range(2))
-            cases.append(gens)
-        on = [colength(Ideal(g)) for g in cases]
-        monkeypatch.setattr(stdbasis, "_PRODUCT_CRITERION", False)
+    def test_no_spoly_from_coprime_leading_monomials(self, monkeypatch):
+        # _std has no product criterion: in the plane truncation drops a pair
+        # with coprime leading monomials x^a, y^b before it is queued, since
+        # they bound the staircase below degree a + b
+        count = 0
+        spoly = stdbasis._spoly
+
+        def checked(t1, t2, lcm):
+            nonlocal count
+            (a1, b1), (a2, b2) = stdbasis._decode(t1[0][0]), stdbasis._decode(t2[0][0])
+            assert min(a1, a2) or min(b1, b2), "s-polynomial of a coprime pair"
+            count += 1
+            return spoly(t1, t2, lcm)
+
+        monkeypatch.setattr(stdbasis, "_spoly", checked)
         stdbasis._standard_basis_cached.cache_clear()
-        off = [colength(Ideal(g)) for g in cases]
+        try:
+            rng = random.Random(2718)
+            for _ in range(12):
+                colength(Ideal(tuple(rand_poly(rng) for _ in range(2))))
+            for f, mu, m in _family():
+                jac = Ideal.of(f.partial_x(), f.partial_y())
+                for k in range(13):
+                    ideal = jac * maximal_ideal_power(k)
+                    assert colength(ideal) == milnor_k_closed(mu, m, k)
+                    colength(ideal + Ideal.of(f))
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+        assert count >= 1000, count
+
+    def test_large_sweep_stays_on_mora(self, monkeypatch):
+        # mu^400 of x^5 + y^7 + 2x^2y^3 has 802 generators and needs many
+        # short normal forms; each has its own step budget, so the run stays
+        # on Mora.  Capped elimination does not finish on this ideal.
+        def refuse(*args):
+            raise AssertionError("left Mora")
+
+        monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
+        monkeypatch.setattr(stdbasis, "_capped_std", refuse)
         stdbasis._standard_basis_cached.cache_clear()
-        assert on == off
+        try:
+            f, mu, m = next(_family())
+            assert milnor_k(f, 400) == milnor_k_closed(mu, m, 400) == 81812
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
 
 
 class TestDegenerateIdeals:
@@ -447,8 +480,9 @@ class TestDegenerateIdeals:
         assert colength(Ideal.of(u * F_RUN, u * G_RUN)) == 20
 
     def test_slow_staircase_budget_reroute(self):
-        # zero-dimensional, gcd 1, but the pure y-power emerges only after a
-        # long swelling walk; must finish quickly via the capped tier
+        # zero-dimensional and gcd 1, with no pure y-power among the leading
+        # monomials of the generators; Mora finds one in a single short walk
+        # and needs no fallback route
         u = Poly.constant(2) - X + Y
         v = Poly.one() + 3 * X * Y
         gens = (
@@ -462,6 +496,71 @@ class TestDegenerateIdeals:
         expect = oracle_colength(list(gens), nmax=20, prime=PRIMES[0])
         if expect is not None:
             assert c == expect
+
+    def test_capped_route_without_forced_budget(self, monkeypatch):
+        # a lemma-3.1 ideal (g*P, g*Q)*m^k + (f) of small random germs: with
+        # the default limits Mora gives up as its coefficients grow, and the
+        # generators share no factor through the origin, so capped
+        # elimination computes the basis
+        calls = []
+        capped = stdbasis._capped_std
+
+        def counted(gens, cap):
+            calls.append(cap)
+            return capped(gens, cap)
+
+        monkeypatch.setattr(stdbasis, "_capped_std", counted)
+        gens = (
+            3 * X**5 + X**4 * Y - 2 * X**5 * Y**2,
+            3 * X**4 * Y + X**3 * Y**2 - 2 * X**4 * Y**3,
+            3 * X**3 * Y**2 + X**2 * Y**3 - 2 * X**3 * Y**4,
+            3 * X**2 * Y**3 + X * Y**4 - 2 * X**2 * Y**5,
+            -(X**5) - 2 * X**6 - 3 * X**7,
+            -(X**4) * Y - 2 * X**5 * Y - 3 * X**6 * Y,
+            -(X**3) * Y**2 - 2 * X**4 * Y**2 - 3 * X**5 * Y**2,
+            -(X**2) * Y**3 - 2 * X**3 * Y**3 - 3 * X**4 * Y**3,
+            -2 * X**2 * Y - 2 * X * Y**2 - X**4 + 2 * Y**5,
+        )
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            got = colength(Ideal(gens))
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+        assert calls
+        assert got == oracle_colength(list(gens), nmax=20) == 14
+
+    def test_membership_by_leading_ideal_matches_oracle(self):
+        # I = h*(a, b) has an infinite staircase, so membership compares the
+        # leading ideals of I and I + (f).  The oracle sees it degree by
+        # degree: f in I leaves dim O/(I + m^n) unchanged, and a monomial of
+        # degree below n outside L(I) lowers it, since L(I + m^n) = L(I)
+        # below degree n
+        rng = random.Random(4242)
+        n = 8
+        outside = 0
+        for _ in range(12):
+            h, a, b = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+            gens = [h * a, h * b]
+            ideal = Ideal(tuple(gens))
+            assert colength(ideal) is INFINITE
+            base = quotient_dim_modp(gens, n, PRIMES[0])
+            u = Poly.constant(rng.choice([1, -2, 3])) + rand_poly(rng)
+            member = h * (u * a + rand_poly(rng) * b)
+            assert contains(ideal, member)
+            assert quotient_dim_modp(gens + [member], n, PRIMES[0]) == base
+            lms = leading_ideal(ideal)
+            monos = [
+                (i, d - i)
+                for d in range(n)
+                for i in range(d + 1)
+                if not any(i >= p and d - i >= q for p, q in lms)
+            ]
+            for i, j in rng.sample(monos, min(2, len(monos))):
+                mono = Poly.term((i, j))
+                assert not contains(ideal, mono)
+                assert quotient_dim_modp(gens + [mono], n, PRIMES[0]) < base
+                outside += 1
+        assert outside >= 12
 
     def test_membership_localized_unit(self):
         # x = (1-x)^{-1} * (x - x^2) in the local ring
@@ -603,13 +702,6 @@ class TestForcedRoutes:
         assert contains(ideal, X * Y) is False
         assert contains(ideal, Y**3) is False
         assert routes["split"] > 0
-
-    def test_membership_walk_without_common_factor_is_an_error(
-        self, routes, monkeypatch
-    ):
-        monkeypatch.setattr(stdbasis, "_split_common_factor", lambda gens: None)
-        with pytest.raises(RuntimeError, match="staircase bound"):
-            contains(Ideal.of(X * Y, X**2), X**3)
 
     def test_routes_import_nothing(self, routes, monkeypatch):
         # neither route has a lazy import, of a computer-algebra system or
