@@ -204,7 +204,7 @@ def _reducer(t: list) -> tuple:
 
 def _mora_nf(
     h: list, basis: list, trunc: "int | None" = None, budget: "int | None" = None
-) -> "list | None":
+) -> "tuple[list | None, int | None]":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
 
     Reducer choice: among the reducers whose leading monomial divides the
@@ -217,14 +217,15 @@ def _mora_nf(
     terms of degree >= N are discarded as they appear, which keeps both the
     walk length and the integer coefficients bounded.
 
-    ``budget`` caps the reduction steps of this one walk.  The walk gives up
-    and returns None when the budget runs out, or when a coefficient outgrows
-    any size a well-posed computation here produces.  Two failures end up
-    here.  Without a truncation degree the walk length has no useful
-    a-priori bound, and ideals whose generators share a factor vanishing at
-    the origin (so that no truncation degree ever appears) may walk forever.
-    With one, the walk is finite but iterated pseudo-reduction against
-    adjoined reducers can still compound integer coefficients exponentially.
+    ``budget`` caps the reduction steps of the walk.  Returns the normal form
+    and what is left of the budget.  The walk gives up, and the form is None,
+    when the budget runs out or a coefficient outgrows any size a well-posed
+    computation here produces.  Two failures end up here.  Without a
+    truncation degree the walk length has no useful a-priori bound, and
+    ideals whose generators share a factor vanishing at the origin (so that
+    no truncation degree ever appears) may walk forever.  With one, the walk
+    is finite but iterated pseudo-reduction against adjoined reducers can
+    still compound integer coefficients exponentially.
     """
     if trunc is not None:
         h = _truncate(h, trunc)
@@ -233,7 +234,7 @@ def _mora_nf(
         if budget is not None:
             budget -= 1
             if budget < 0 or h[0][1].bit_length() > _COEFF_BIT_LIMIT:
-                return None
+                return None, budget
         lmh = h[0][0]
         ah, bh = _decode(lmh)
         best_key = None
@@ -252,7 +253,7 @@ def _mora_nf(
         h = _reduce_step(h, t)
         if trunc is not None:
             h = _truncate(h, trunc)
-    return _strip(h)
+    return _strip(h), budget
 
 
 def _minimalize(lms_terms: list) -> list:
@@ -302,13 +303,16 @@ def _std(gens: list) -> "list | None":
     and the queue is ordered by lcm degree, so the first pair taken off it
     at or beyond the bound ends the loop.
 
-    Each normal form runs under its own step budget of _NF_STEP_BUDGET; when
-    one gives up (see :func:`_mora_nf`), so does the run, returning None.
+    The normal forms of a run share a budget of _NF_STEP_BUDGET steps per
+    generator, so the cost of a run that gives up grows with its input and
+    not with the number of walks it makes.  When one normal form gives up
+    (see :func:`_mora_nf`), so does the run, returning None.
     """
     G = [list(g) for g in gens if g]
     reducers = [_reducer(g) for g in G]
     exps = [r[:2] for r in reducers]
     trunc = _staircase_bound(exps)
+    budget = _NF_STEP_BUDGET * len(G)
     heap = []
     queued = {}  # the queued pairs that criterion B left: (i, j) -> L_ij
 
@@ -353,7 +357,7 @@ def _std(gens: list) -> "list | None":
         s = _spoly(G[i], G[j], (deg << _SHIFT) | lcm[1])
         if not s:
             continue
-        r = _mora_nf(s, reducers, trunc, _NF_STEP_BUDGET)
+        r, budget = _mora_nf(s, reducers, trunc, budget)
         if r is None:
             return None
         if r:
@@ -497,7 +501,7 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     # the walk finite-by-construction: each step strictly increases the
     # leading code, which truncation bounds.
     trunc = _staircase_bound([r[:2] for r in reducers])
-    return _to_poly(_mora_nf(_to_internal(f), reducers, trunc))
+    return _to_poly(_mora_nf(_to_internal(f), reducers, trunc)[0])
 
 
 def _mora_nf_certified(f: Poly, basis: list):
@@ -786,11 +790,11 @@ def colength(ideal: Ideal) -> "int | _Infinite":
 def contains(ideal: Ideal, f: Poly) -> bool:
     """Membership of f in the ideal, inside the local ring.
 
-    With a finite staircase the truncated normal form of f against the
-    standard basis decides.  Otherwise f lies in I exactly when adjoining it
-    leaves the leading ideal unchanged: I is inside I + (f), and ideals
-    I inside J of the local ring with L(I) = L(J) are equal (Greuel-Pfister
-    1.6).
+    The normal form of f against the standard basis decides: truncated when
+    the staircase is finite, under a step budget otherwise.  When that walk
+    gives up, f lies in I exactly when adjoining it leaves the leading ideal
+    unchanged: I is inside I + (f), and ideals I inside J of the local ring
+    with L(I) = L(J) are equal (Greuel-Pfister 1.6).
     """
     if ideal.is_zero:
         return f.is_zero
@@ -798,6 +802,12 @@ def contains(ideal: Ideal, f: Poly) -> bool:
         return True
     sb = standard_basis(ideal)
     trunc = _staircase_bound(sb.leading_monomials)
-    if trunc is None:
-        return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)
-    return not _mora_nf(_to_internal(f), [_reducer(t) for t in sb.packed], trunc)
+    r, _ = _mora_nf(
+        _to_internal(f),
+        [_reducer(t) for t in sb.packed],
+        trunc,
+        _NF_STEP_BUDGET if trunc is None else None,
+    )
+    if r is not None:
+        return not r
+    return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)

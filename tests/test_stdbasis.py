@@ -444,8 +444,9 @@ class TestColength:
 
     def test_large_sweep_stays_on_mora(self, monkeypatch):
         # mu^400 of x^5 + y^7 + 2x^2y^3 has 802 generators and needs many
-        # short normal forms; each has its own step budget, so the run stays
-        # on Mora.  Capped elimination does not finish on this ideal.
+        # short normal forms; the step budget of a run grows with its
+        # generators, so the run stays on Mora.  Capped elimination does not
+        # finish on this ideal.
         def refuse(*args):
             raise AssertionError("left Mora")
 
@@ -457,6 +458,23 @@ class TestColength:
             assert milnor_k(f, 400) == milnor_k_closed(mu, m, 400) == 81812
         finally:
             stdbasis._standard_basis_cached.cache_clear()
+
+    def test_walks_share_the_run_budget(self, monkeypatch):
+        # the basis of these two generators takes three walks of at most 2
+        # reduction steps each, 5 in all.  The walks of a run share a budget
+        # per generator: 2 per generator gives up and 3 does not, so the
+        # number of walks does not raise the cost of giving up
+        gens = [
+            stdbasis._to_internal(g)
+            for g in (
+                -3 * X**3 - 3 * X**2 * Y - 3 * Y**4,
+                2 * X**3 + 3 * Y**3 - 3 * X**3 * Y**2,
+            )
+        ]
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 2)
+        assert stdbasis._std(gens) is None
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 3)
+        assert stdbasis._std(gens) is not None
 
 
 class TestDegenerateIdeals:
@@ -529,12 +547,21 @@ class TestDegenerateIdeals:
         assert calls
         assert got == oracle_colength(list(gens), nmax=20) == 14
 
-    def test_membership_by_leading_ideal_matches_oracle(self):
-        # I = h*(a, b) has an infinite staircase, so membership compares the
-        # leading ideals of I and I + (f).  The oracle sees it degree by
-        # degree: f in I leaves dim O/(I + m^n) unchanged, and a monomial of
-        # degree below n outside L(I) lowers it, since L(I + m^n) = L(I)
-        # below degree n
+    def test_membership_by_leading_ideal_matches_oracle(self, monkeypatch):
+        # I = h*(a, b) has an infinite staircase, so the walk of contains has
+        # no truncation degree; on most members it gives up, and membership
+        # compares the leading ideals of I and I + (f).  The oracle sees it
+        # degree by degree: f in I leaves dim O/(I + m^n) unchanged, and a
+        # monomial of degree below n outside L(I) lowers it, since
+        # L(I + m^n) = L(I) below degree n
+        compared = []
+        lead = stdbasis.leading_ideal
+
+        def counted(ideal):
+            compared.append(ideal)
+            return lead(ideal)
+
+        monkeypatch.setattr(stdbasis, "leading_ideal", counted)
         rng = random.Random(4242)
         n = 8
         outside = 0
@@ -561,6 +588,7 @@ class TestDegenerateIdeals:
                 assert quotient_dim_modp(gens + [mono], n, PRIMES[0]) < base
                 outside += 1
         assert outside >= 12
+        assert len(compared) >= 6
 
     def test_membership_localized_unit(self):
         # x = (1-x)^{-1} * (x - x^2) in the local ring
