@@ -59,7 +59,7 @@ from .invariants import (
     tjurina_k,
 )
 from .ring import Poly, X, Y
-from .stdbasis import INFINITE, Ideal, colength, is_finite, maximal_ideal_power
+from .stdbasis import INFINITE, Ideal, colength, is_finite
 
 
 # -- polynomial expression parser ---------------------------------------------
@@ -433,10 +433,11 @@ def _curve(args) -> CurveGerm:
 
 def _vdim(args):
     gens = [parse_poly(g) for g in args.gens]
-    plus = [parse_poly(g) for g in args.plus]
+    plus = Ideal(tuple(parse_poly(g) for g in args.plus))
     base = Ideal(tuple(gens)) if gens else Ideal.of(Poly.one())
-    ideal = base * maximal_ideal_power(args.mk) + Ideal(tuple(plus))
-    return INFINITE if ideal.is_zero else colength(ideal)
+    if base.is_zero and plus.is_zero:
+        return INFINITE
+    return colength(base, args.mk, plus)
 
 
 def _teissier(args) -> bool:

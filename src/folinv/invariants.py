@@ -24,6 +24,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .ring import Poly, multiplicity
@@ -32,10 +33,7 @@ from .stdbasis import (
     Ideal,
     colength,
     contains,
-    ideal_product,
-    ideal_sum,
     is_finite,
-    maximal_ideal_power,
 )
 
 
@@ -176,7 +174,7 @@ def milnor_k(f: Poly, k: int):
     jac = jacobian_ideal(f)
     if jac.is_zero:
         return INFINITE
-    return colength(ideal_product(jac, maximal_ideal_power(k)))
+    return colength(jac, k)
 
 
 def tjurina_k(f: Poly, k: int):
@@ -184,16 +182,13 @@ def tjurina_k(f: Poly, k: int):
     _natural(k, "k")
     if f.is_zero:
         return INFINITE
-    jac = jacobian_ideal(f)
-    if jac.is_zero:
-        jac = Ideal.of()
-    return colength(ideal_sum(ideal_product(jac, maximal_ideal_power(k)), Ideal.of(f)))
+    return colength(jacobian_ideal(f), k, Ideal.of(f))
 
 
 def foliation_milnor_k(F: Foliation, k: int):
     """mu^k(F) = dim O/((P,Q) * m^k); always finite for a valid foliation."""
     _natural(k, "k")
-    return colength(ideal_product(Ideal.of(F.P, F.Q), maximal_ideal_power(k)))
+    return colength(Ideal.of(F.P, F.Q), k)
 
 
 def foliation_tjurina_k(F: Foliation, C: CurveGerm, k: int):
@@ -201,12 +196,7 @@ def foliation_tjurina_k(F: Foliation, C: CurveGerm, k: int):
     _natural(k, "k")
     if not is_invariant(F, C):
         raise PreconditionError("the curve is not invariant by the foliation")
-    return colength(
-        ideal_sum(
-            ideal_product(Ideal.of(F.P, F.Q), maximal_ideal_power(k)),
-            Ideal.of(C.f),
-        )
-    )
+    return colength(Ideal.of(F.P, F.Q), k, Ideal.of(C.f))
 
 
 def intersection_number(f: Poly, g: Poly):
@@ -217,8 +207,12 @@ def intersection_number(f: Poly, g: Poly):
     return colength(ideal)
 
 
+@lru_cache(maxsize=1024)
 def is_invariant(F: Foliation, C: CurveGerm) -> bool:
-    """Whether C = {f=0} is invariant by F: f divides P*f_y - Q*f_x in the local ring."""
+    """Whether C = {f=0} is invariant by F: f divides P*f_y - Q*f_x in the local ring.
+
+    Memoized: a sweep over k checks the same pair at every k.
+    """
     f = C.f
     w = F.P * f.partial_y() - F.Q * f.partial_x()
     return contains(Ideal.of(f), w)
@@ -292,11 +286,7 @@ def polar_intersection_k(
         directions.append((a, b))
     if len(directions) < samples:
         raise PreconditionError("polar degenerate against the curve")
-    mk = maximal_ideal_power(k)
-    values = [
-        colength(ideal_product(Ideal.of(a * F.P + b * F.Q, C.f), mk))
-        for a, b in directions
-    ]
+    values = [colength(Ideal.of(a * F.P + b * F.Q, C.f), k) for a, b in directions]
     finite = [v for v in values if is_finite(v)]
     if not finite:
         raise PreconditionError("polar degenerate against the curve")

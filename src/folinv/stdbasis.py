@@ -17,6 +17,7 @@ primitive, positive-leading representative loses nothing).
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -441,7 +442,8 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
 def maximal_ideal_power(k: int) -> Ideal:
     """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1).
 
-    Memoized: a k-sweep asks for the same few powers over and over.
+    Memoized: callers that expand m^k * J ask for the same few powers over and
+    over; :func:`colength` takes k instead and expands nothing.
     """
     if k < 0:
         raise ValueError("negative power of the maximal ideal")
@@ -457,7 +459,6 @@ class StandardBasis:
     first access.
     """
 
-    source: Ideal
     packed: tuple
     order_tag: str = "ds"
 
@@ -551,9 +552,14 @@ def _mora_nf_certified(f: Poly, basis: list):
 # lex-leading terms, x before y.
 
 
-def _zz(p: Poly) -> dict:
-    """p as a primitive integer polynomial with positive leading coefficient."""
-    return {_decode(code): c for code, c in _to_internal(p)}
+def _zz(t) -> dict:
+    """An internal polynomial as a dict."""
+    return {_decode(code): c for code, c in t}
+
+
+def _from_zz(p: dict) -> list:
+    """A dict as an internal polynomial: sorted, primitive, positive leading term."""
+    return _strip(sorted((_encode(m), c) for m, c in p.items()))
 
 
 def _zsum(*products) -> dict:
@@ -630,21 +636,22 @@ def _zgcd(p: dict, q: dict, v: int = 0) -> dict:
     return c
 
 
-def _split_common_factor(gens: tuple) -> "tuple[Poly, tuple[Poly, ...]] | None":
-    """Factor the generators as g * cofactors, g their primitive gcd in Z[x, y].
+def _split_common_factor(gens: tuple) -> "tuple[list, tuple] | None":
+    """Factor internal generators as g * cofactors, g their primitive gcd in Z[x, y].
 
     Returns None when g(0) != 0: the generators then share no curve through
     the origin, so the ideal they generate in the local ring is
     zero-dimensional.  Otherwise g = v*w, v the product of the irreducible
     factors of g through the origin and w(0) != 0 a unit of the local ring, so
     g and v generate the same local ideal and have the same leading monomial.
-    The cofactors are gens/g up to nonzero constants.
+    The cofactors are gens/g up to nonzero constants.  g and the cofactors
+    are internal polynomials.
     """
-    zs = [_zz(h) for h in gens]
+    zs = [_zz(t) for t in gens]
     g = reduce(_zgcd, zs)
     if (0, 0) in g:
         return None
-    return Poly.from_dict(g), tuple(Poly.from_dict(_zquo(h, g)) for h in zs)
+    return _from_zz(g), tuple(tuple(_from_zz(_zquo(h, g))) for h in zs)
 
 
 def _eliminate_row(row: dict, pivots: dict) -> None:
@@ -736,11 +743,11 @@ def _product(t1, t2) -> list:
     return _strip(sorted((c, v) for c, v in acc.items() if v))
 
 
-def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
-    packed = [_to_internal(g) for g in gens]
+def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
+    """Standard basis of the ideal of internal generators: Mora, else a fallback."""
     internal = _std(packed)
     if internal is None:
-        split = _split_common_factor(gens)
+        split = _split_common_factor(packed)
         if split is None:
             # No common factor through the origin: the ideal is
             # zero-dimensional in the local ring, so some degree cap will be
@@ -753,38 +760,140 @@ def _standard_basis_from_gens(gens: tuple) -> StandardBasis:
             # A standard basis of g*J is g times one of J: leading monomials
             # multiply, so the leading ideals match on both sides.
             g, cofactors = split
-            g = _to_internal(g)
             inner = _standard_basis_cached(cofactors).packed
             internal = [_product(g, t) for t in inner]
-    return StandardBasis(Ideal(gens), tuple(map(tuple, internal)))
+    return StandardBasis(tuple(map(tuple, internal)))
+
+
+def _pack(ideal: "Ideal | None") -> tuple:
+    """The generators of an ideal as internal polynomials; None is the zero ideal."""
+    if ideal is None:
+        return ()
+    return tuple(tuple(_to_internal(g)) for g in ideal.generators)
+
+
+def _shift(t, code: int) -> tuple:
+    """x^a y^b * t, for the code of x^a y^b."""
+    return tuple((c + code, v) for c, v in t)
+
+
+def _dim(sb: StandardBasis) -> "int | _Infinite":
+    """dim_Q O/I for a standard basis of I."""
+    heights = _staircase(sb.leading_monomials)
+    return INFINITE if heights is None else sum(heights)
+
+
+_X, _Y = _encode((1, 0)), _encode((0, 1))
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _BasisCache:
+    """Bounded LRU cache of standard bases of m^k * J + P, keyed on (J, k, P).
+
+    J and P are tuples of internal generators.  An entry with k = 0, or with
+    J zero, is the entry of the generators J + P with k = 0: those serve
+    :func:`standard_basis`, :func:`leading_ideal` and :func:`contains`.
+
+    On a miss with k > 0, when the entry for k - 1 is present with basis G,
+    the basis is computed from x*G, y*G and P, which generate
+    m(m^(k-1) J + P) + P = m^k J + P; otherwise from the products of J with
+    the monomials of degree k, and P.  Only a present entry seeds a miss:
+    going down to k = 0 costs more than the direct route on a cold ideal.
+    Hits and misses are counted as by :func:`functools.lru_cache`.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    @staticmethod
+    def _key(gens: tuple, k: int, plus: tuple) -> tuple:
+        return (gens, k, plus) if k and gens else (gens + plus, 0, ())
+
+    def __call__(self, gens: tuple, k: int = 0, plus: tuple = ()) -> StandardBasis:
+        key = self._key(gens, k, plus)
+        sb = self._entries.get(key)
+        if sb is not None:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return sb
+        self._misses += 1
+        gens, k, plus = key
+        prev = self._entries.get(self._key(gens, k - 1, plus)) if k else None
+        if prev is not None:
+            sb = _standard_basis_from_gens(
+                tuple(_shift(t, s) for s in (_X, _Y) for t in prev.packed) + plus
+            )
+            _check_step(prev, sb, gens, k)
+        else:
+            shifts = [_encode((k - i, i)) for i in range(k + 1)]
+            sb = _standard_basis_from_gens(
+                tuple(_shift(t, s) for t in gens for s in shifts) + plus
+            )
+        self._entries[key] = sb
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+        return sb
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+def _check_step(prev: StandardBasis, sb: StandardBasis, gens: tuple, k: int) -> None:
+    """Assert 0 <= colength(m^k J + P) - colength(m^(k-1) J + P) <= ord(J) + k.
+
+    The quotient (m^(k-1) J + P)/(m^k J + P) is spanned by the image of
+    m^(k-1) J / m^k J, whose dimension is the minimal number of generators of
+    m^(k-1) J (Nakayama); in a two-dimensional regular local ring that is at
+    most its order plus one (Huneke 1988).  A step outside is a wrong basis.
+    """
+    before, after = _dim(prev), _dim(sb)
+    if before is INFINITE or after is INFINITE:
+        return
+    bound = min(t[0][0] >> _SHIFT for t in gens) + k
+    if not 0 <= after - before <= bound:
+        raise RuntimeError(
+            f"colength went from {before} to {after} at k = {k}, "
+            f"outside the bound 0..{bound}"
+        )
 
 
 # Bounded: one k-sweep pass of perfbench asks for about 1 050 distinct ideals,
 # and an evicted basis is only recomputed.
-_standard_basis_cached = lru_cache(maxsize=4096)(_standard_basis_from_gens)
+_standard_basis_cached = _BasisCache(maxsize=4096)
 
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
     """Standard basis of a nonzero ideal under the local order."""
     if ideal.is_zero:
         raise ValueError("standard basis of the zero ideal is undefined")
-    return _standard_basis_cached(ideal.generators)
+    return _standard_basis_cached(_pack(ideal))
 
 
 def leading_ideal(ideal: Ideal) -> tuple[Monomial, ...]:
     return standard_basis(ideal).leading_monomials
 
 
-def colength(ideal: Ideal) -> "int | _Infinite":
-    """dim_Q O/I: the number of monomials outside the leading-monomial staircase.
+def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _Infinite":
+    """dim_Q O/(m^k * ideal + plus): the monomials outside the leading staircase.
 
     Finite exactly when the leading ideal contains a pure power of x and a
-    pure power of y; otherwise returns INFINITE.
+    pure power of y; otherwise returns INFINITE.  m^k * ideal is never
+    expanded into polynomials: a sweep over k reuses the basis for k - 1
+    (see :class:`_BasisCache`).
     """
-    if ideal.is_zero:
+    if k < 0:
+        raise ValueError("negative power of the maximal ideal")
+    gens, extra = _pack(ideal), _pack(plus)
+    if not gens and not extra:
         raise ValueError("the zero ideal has infinite colength in every sense")
-    heights = _staircase(standard_basis(ideal).leading_monomials)
-    return INFINITE if heights is None else sum(heights)
+    return _dim(_standard_basis_cached(gens, k, extra))
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:
@@ -792,9 +901,11 @@ def contains(ideal: Ideal, f: Poly) -> bool:
 
     The normal form of f against the standard basis decides: truncated when
     the staircase is finite, under a step budget otherwise.  When that walk
-    gives up, f lies in I exactly when adjoining it leaves the leading ideal
-    unchanged: I is inside I + (f), and ideals I inside J of the local ring
-    with L(I) = L(J) are equal (Greuel-Pfister 1.6).
+    gives up, the staircase of I is infinite, so f is not in I when I + (f)
+    is zero-dimensional, that is when its generators share no factor through
+    the origin.  Otherwise f lies in I exactly when adjoining it leaves the
+    leading ideal unchanged: I is inside I + (f), and ideals I inside J of
+    the local ring with L(I) = L(J) are equal (Greuel-Pfister 1.6).
     """
     if ideal.is_zero:
         return f.is_zero
@@ -802,12 +913,15 @@ def contains(ideal: Ideal, f: Poly) -> bool:
         return True
     sb = standard_basis(ideal)
     trunc = _staircase_bound(sb.leading_monomials)
+    h = _to_internal(f)
     r, _ = _mora_nf(
-        _to_internal(f),
+        h,
         [_reducer(t) for t in sb.packed],
         trunc,
         _NF_STEP_BUDGET if trunc is None else None,
     )
     if r is not None:
         return not r
+    if _split_common_factor(_pack(ideal) + (h,)) is None:
+        return False
     return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)

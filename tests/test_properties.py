@@ -9,6 +9,7 @@ import random
 import warnings
 from fractions import Fraction
 
+from folinv import stdbasis
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import (
     Ideal,
@@ -360,6 +361,42 @@ def run_gsv_branch_consistency_suite(seed=114, target=30):
     return cases, failures
 
 
+def run_sweep_step_suite(seed=115, target=200):
+    """A sweep over k gives the colengths of the expanded ideals m^k J + P,
+    and each step stays within the bound
+
+        0 <= colen(m^k J + P) - colen(m^(k-1) J + P) <= ord(J) + k.
+
+    The difference is the dimension of a quotient of m^(k-1) J / m^k J,
+    which by Nakayama is the minimal number of generators of m^(k-1) J, at
+    most its order plus one in a two-dimensional regular local ring (Huneke
+    1988).  Each value must equal the one of the expanded ideal computed with
+    the basis cache cleared; ascending, descending and shuffled orders of k
+    give the same values.  A case is a step with both colengths finite.
+    """
+    rng = random.Random(seed)
+    cases = failures = 0
+    ks = range(7)
+    while cases < target:
+        J = Ideal(tuple(rand_poly(rng) for _ in range(rng.randint(2, 3))))
+        P = Ideal.of(rand_poly(rng)) if rng.random() < 0.5 else None
+        cold = {}
+        for k in ks:
+            stdbasis._standard_basis_cached.cache_clear()
+            cold[k] = colength(J * maximal_ideal_power(k) + (P or Ideal()))
+        for order in (list(ks), list(reversed(ks)), rng.sample(ks, len(ks))):
+            stdbasis._standard_basis_cached.cache_clear()
+            if {k: colength(J, k, P) for k in order} != cold:
+                failures += 1
+        order_J = min(g.multiplicity() for g in J.generators)
+        for k in ks[1:]:
+            if _finite(cold[k - 1], cold[k]):
+                cases += 1
+                if not 0 <= cold[k] - cold[k - 1] <= order_J + k:
+                    failures += 1
+    return cases, failures
+
+
 SUITES = {
     "lemma-3-1": run_lemma_31_suite,
     "lemma-3-2": run_lemma_32_suite,
@@ -370,6 +407,7 @@ SUITES = {
     "weighted-homogeneous-gap": run_weighted_homogeneous_gap_suite,
     "bound-chain": run_bound_chain_suite,
     "qh-identity": run_qh_identity_suite,
+    "sweep-step": run_sweep_step_suite,
 }
 
 
@@ -415,6 +453,11 @@ def test_bound_chain():
 
 def test_qh_identity():
     cases, failures = run_qh_identity_suite()
+    assert cases >= 200 and failures == 0
+
+
+def test_sweep_step():
+    cases, failures = run_sweep_step_suite()
     assert cases >= 200 and failures == 0
 
 

@@ -19,6 +19,7 @@ from folinv.invariants import (
     milnor_k,
     milnor_k_closed,
     reduced_singularity_invariants,
+    tjurina_k,
 )
 from folinv.stdbasis import (
     INFINITE,
@@ -280,6 +281,58 @@ class TestCaches:
             assert cached.cache_info()[:2] == (1, size + 2)
         finally:
             cached.cache_clear()
+
+    def test_sweep_seeds_from_the_previous_k(self, monkeypatch):
+        # a cold k is computed from the expanded generators, without filling
+        # the entries below it; the next k starts from x*G, y*G and (f)
+        sizes = []
+        from_gens = stdbasis._standard_basis_from_gens
+
+        def counted(gens):
+            sizes.append(len(gens))
+            return from_gens(gens)
+
+        monkeypatch.setattr(stdbasis, "_standard_basis_from_gens", counted)
+        cached = stdbasis._standard_basis_cached
+        cached.cache_clear()
+        try:
+            f, mu, m = next(_family())
+            jac = Ideal.of(f.partial_x(), f.partial_y())
+            tau = colength(jac, 5, Ideal.of(f))
+            assert cached.cache_info()[:2] == (0, 1) and sizes == [2 * 6 + 1]
+            basis = cached(stdbasis._pack(jac), 5, stdbasis._pack(Ideal.of(f)))
+            seeded = colength(jac, 6, Ideal.of(f))
+            assert sizes[1] == 2 * len(basis.packed) + 1
+            assert tau <= seeded == colength(jac * maximal_ideal_power(6) + Ideal.of(f))
+        finally:
+            cached.cache_clear()
+
+    def test_k_zero_entries_serve_the_expanded_ideal(self):
+        cached = stdbasis._standard_basis_cached
+        cached.cache_clear()
+        try:
+            J, P = Ideal.of(F_RUN), Ideal.of(G_RUN)
+            assert colength(J, 0, P) == colength(J + P) == 20
+            assert colength(Ideal(), 3, P) == colength(P) is INFINITE
+            assert cached.cache_info()[:2] == (2, 2)
+            with pytest.raises(ValueError):
+                colength(Ideal(), 2)
+            with pytest.raises(ValueError):
+                colength(J, -1, P)
+        finally:
+            cached.cache_clear()
+
+    def test_step_outside_the_bound_raises(self):
+        # colength(m^k) - colength(m^(k-1)) = k for J = m = (x, y), whose
+        # order plus k is k + 1: a basis of m^(k+1) in place of m^k, or one
+        # of m^(k-1), is a step outside the bound
+        J = stdbasis._pack(Ideal.of(X, Y))
+        basis = {k: standard_basis(maximal_ideal_power(k)) for k in (2, 3, 4)}
+        stdbasis._check_step(basis[2], basis[3], J, 3)
+        with pytest.raises(RuntimeError):
+            stdbasis._check_step(basis[2], basis[4], J, 3)
+        with pytest.raises(RuntimeError):
+            stdbasis._check_step(basis[3], basis[2], J, 3)
 
     def test_maximal_ideal_powers_are_memoized(self):
         info = maximal_ideal_power.cache_info()
@@ -590,6 +643,20 @@ class TestDegenerateIdeals:
         assert outside >= 12
         assert len(compared) >= 6
 
+    def test_non_member_without_common_factor_through_the_origin(self, monkeypatch):
+        # the walk of contains gives up on I = h*(a, b); h and f share no
+        # factor through the origin, so I + (f) is zero-dimensional and I is
+        # not, and f is not in I.  The leading ideal of I + (f) took capped
+        # elimination up to cap 64 and more than a minute
+        def refuse(*args):
+            raise AssertionError("capped elimination")
+
+        monkeypatch.setattr(stdbasis, "_capped_std", refuse)
+        h = -3 * Y - 2 * X * Y - X**3 * Y - X**5
+        a = -2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3
+        b = 3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y
+        assert contains(Ideal.of(h * a, h * b), X**4 * Y**6) is False
+
     def test_membership_localized_unit(self):
         # x = (1-x)^{-1} * (x - x^2) in the local ring
         assert contains(Ideal.of(X - X**2), X)
@@ -715,10 +782,36 @@ class TestForcedRoutes:
             # P dx + Q dy pulls back to (P' + Q') dx + Q' dy
             fol = Foliation(shear(p) + shear(q), shear(q))
             for k in range(5):
+                # a basis seeded from the one for k - 1 can already be a
+                # standard basis, which the zero budget does not send anywhere
+                stdbasis._standard_basis_cached.cache_clear()
                 before = routes["capped"]
                 got = (foliation_milnor_k(fol, k), foliation_tjurina_k(fol, separatrices, k))
                 assert got == reduced_singularity_invariants(kind, k), (kind, k)
                 assert routes["capped"] > before
+
+    def test_zero_budget_sweep(self, routes, monkeypatch):
+        # a sweep over k seeds each basis from the one for k - 1, and the
+        # zero budget sends every seeded set that needs a reduction to
+        # capped elimination
+        seeded = []
+        check = stdbasis._check_step
+
+        def counted(prev, sb, gens, k):
+            seeded.append(k)
+            check(prev, sb, gens, k)
+
+        monkeypatch.setattr(stdbasis, "_check_step", counted)
+        for f, mu, m in _family():
+            jac = Ideal.of(f.partial_x(), f.partial_y())
+            for k in range(7):
+                assert milnor_k(f, k) == milnor_k_closed(mu, m, k), (f, k)
+                tau = tjurina_k(f, k)
+                if k <= 3:
+                    gens = list((jac * maximal_ideal_power(k) + Ideal.of(f)).generators)
+                    assert tau == oracle_colength(gens, nmax=20), (f, k)
+        assert len(seeded) == 2 * 6 * len(FAMILY)
+        assert routes["capped"] > 0 and routes["split"] == 0
 
     def test_membership_through_a_unit_factor(self, routes):
         # the gcd x(1+x) of the generators does not divide x*y^2, but its
@@ -747,14 +840,18 @@ class TestForcedRoutes:
         assert set(sys.modules) == loaded
 
 
+def _zz(p):
+    return stdbasis._zz(stdbasis._to_internal(p))
+
+
 def test_gcd_of_products():
     rng = random.Random(99)
     for _ in range(60):
         h = rand_poly(rng) + Poly.constant(rng.choice([0, 0, 1, -2]))
         a, b = rand_poly(rng), rand_poly(rng) + Poly.constant(rng.choice([0, 3]))
-        p, q = stdbasis._zz(h * a), stdbasis._zz(h * b)
+        p, q = _zz(h * a), _zz(h * b)
         g = stdbasis._zgcd(p, q)
-        assert stdbasis._zquo(g, stdbasis._zz(h)) is not None
+        assert stdbasis._zquo(g, _zz(h)) is not None
         assert stdbasis._zsum((stdbasis._zquo(p, g), g)) == p
         assert stdbasis._zsum((stdbasis._zquo(q, g), g)) == q
         # p is primitive, so 2*g does not divide it
