@@ -61,18 +61,14 @@ def total_degree(m: Monomial) -> int:
     return m[0] + m[1]
 
 
-def _merge(
-    t1: tuple, t2: tuple, scale: Fraction, shift: Monomial
-) -> tuple:
-    """Term tuple of t1 + scale * x^shift * t2; both inputs sorted, output sorted."""
-    da, db = shift
+def _merge(t1: tuple, t2: tuple, scale: Fraction) -> tuple:
+    """Term tuple of t1 + scale * t2; both inputs sorted, output sorted."""
     out = []
     i = j = 0
     n1, n2 = len(t1), len(t2)
     while i < n1 and j < n2:
         m1, c1 = t1[i]
         m2, c2 = t2[j]
-        m2 = (m2[0] + da, m2[1] + db)
         k1 = (m1[0] + m1[1], m1[1])
         k2 = (m2[0] + m2[1], m2[1])
         if k1 < k2:
@@ -89,10 +85,7 @@ def _merge(
             j += 1
     if i < n1:
         out.extend(t1[i:])
-    while j < n2:
-        m2, c2 = t2[j]
-        out.append(((m2[0] + da, m2[1] + db), scale * c2))
-        j += 1
+    out.extend((m2, scale * c2) for m2, c2 in t2[j:])
     return tuple(out)
 
 
@@ -205,21 +198,17 @@ class Poly:
         m = self.terms[-1][0]
         return m[0] + m[1]
 
-    def ecart(self) -> int:
-        """degree - multiplicity; zero exactly for quasi-homogeneous term support."""
-        return self.degree() - self.multiplicity()
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._raw(_merge(self.terms, other.terms, Fraction(1), ONE_MONOMIAL))
+        return Poly._raw(_merge(self.terms, other.terms, Fraction(1)))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._raw(_merge(self.terms, other.terms, Fraction(-1), ONE_MONOMIAL))
+        return Poly._raw(_merge(self.terms, other.terms, Fraction(-1)))
 
     def __neg__(self) -> "Poly":
         return Poly._raw(tuple((m, -c) for m, c in self.terms))
@@ -261,10 +250,6 @@ class Poly:
         if not c:
             return Poly.zero()
         return Poly._raw(tuple((m, c * coef) for m, coef in self.terms))
-
-    def sub_scaled_shifted(self, other: "Poly", c: Fraction, shift: Monomial) -> "Poly":
-        """self - c * x^shift * other, the workhorse step of local division."""
-        return Poly._raw(_merge(self.terms, other.terms, -c, shift))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

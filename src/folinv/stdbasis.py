@@ -12,7 +12,11 @@ hot loops run over content-free integer term lists whose monomials are packed
 into single ints ordered compatibly with the local order, and use fraction-free
 pseudo-reduction; results are only converted back at the boundary (a nonzero
 normal form is determined up to a unit of the local ring, so normalizing to a
-primitive, positive-leading representative loses nothing).
+primitive, positive-leading representative loses nothing).  One walk,
+:func:`_mora_nf`, computes every normal form, for standard bases, membership
+and :func:`mora_normal_form` alike; asked for a certificate, it carries the
+cofactors of the relation along as integer term lists too, so no Fraction
+arithmetic runs inside a reduction loop.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
+from typing import ClassVar
 
-from .ring import Monomial, Poly, monomial_divides
+from .ring import Monomial, Poly
 
 # -- packed monomial codes --------------------------------------------------
 #
@@ -60,17 +65,9 @@ def _to_internal(p: Poly) -> list:
     den = 1
     for _, c in p.terms:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [(c.numerator * (den // c.denominator)) for _, c in p.terms]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g == 0:
-        return []
-    if ints[0] < 0:
-        g = -g
-    return [(_encode(m), v // g) for (m, _), v in zip(p.terms, ints)]
+    return _strip(
+        [(_encode(m), c.numerator * (den // c.denominator)) for m, c in p.terms]
+    )
 
 
 def _to_poly(t: list) -> Poly:
@@ -132,6 +129,22 @@ def _reduce_step(h: list, g: list) -> list:
     lcg = g[0][1]
     d = gcd(lch, lcg)
     return _strip(_combine(h, lcg // d, 0, g, -(lch // d), h[0][0] - g[0][0]))
+
+
+def _reduce_tracked(hv: list, gv: list) -> list:
+    """:func:`_reduce_step` of h by g, applied alike to each entry of the vectors.
+
+    hv = [h, ...] is the vector of h and gv = [g, ...] that of the reducer.
+    The content is divided out of the whole vector at once, so a relation
+    h = sum(c_i * e_i) between the entries, linear with polynomial
+    coefficients, is kept exactly.
+    """
+    h, g = hv[0], gv[0]
+    d = gcd(h[0][1], g[0][1])
+    a, b, s = g[0][1] // d, -(h[0][1] // d), h[0][0] - g[0][0]
+    out = [_combine(p, a, 0, q, b, s) for p, q in zip(hv, gv)]
+    c = gcd(*(v for p in out for _, v in p))
+    return [[(code, v // c) for code, v in p] for p in out]
 
 
 def _spoly(t1: list, t2: list, lcm: int) -> list:
@@ -204,8 +217,12 @@ def _reducer(t: list) -> tuple:
 
 
 def _mora_nf(
-    h: list, basis: list, trunc: "int | None" = None, budget: "int | None" = None
-) -> "tuple[list | None, int | None]":
+    h: list,
+    basis: list,
+    trunc: "int | None" = None,
+    budget: "int | None" = None,
+    track: bool = False,
+) -> "tuple[list | None, int | list | None]":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
 
     Reducer choice: among the reducers whose leading monomial divides the
@@ -227,10 +244,25 @@ def _mora_nf(
     no truncation degree ever appears) may walk forever.  With one, the walk
     is finite but iterated pseudo-reduction against adjoined reducers can
     still compound integer coefficients exponentially.
+
+    ``track``, passed by :func:`mora_normal_form` alone and never with
+    ``trunc`` or ``budget``, carries the vector [h, u, q_1, ..., q_n] with
+    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis.  The walk
+    then returns [u, q_1, ..., q_n] in place of the budget, and a normal
+    form r, not normalized, with u*h_0 = sum(q_i * g_i) + r.
     """
     if trunc is not None:
         h = _truncate(h, trunc)
     reducers = list(basis)
+    vectors = vec = None
+    if track:
+        # Keyed on the reducer's term list, so the scan below stays as it is.
+        n = len(basis)
+        vec = [h, [(0, 1)]] + [[] for _ in range(n)]
+        vectors = {
+            id(r[-1]): [r[-1], []] + [[(0, -1)] if j == i else [] for j in range(n)]
+            for i, r in enumerate(basis)
+        }
     while h:
         if budget is not None:
             budget -= 1
@@ -251,10 +283,18 @@ def _mora_nf(
         ecg, t = best
         if ecg > _ecart(h):
             reducers.append(_reducer(h))
-        h = _reduce_step(h, t)
+            if vectors is not None:
+                vectors[id(h)] = vec
+        if vectors is None:
+            h = _reduce_step(h, t)
+        else:
+            vec = _reduce_tracked(vec, vectors[id(t)])
+            h = vec[0]
         if trunc is not None:
             h = _truncate(h, trunc)
-    return _strip(h), budget
+    if vectors is None:
+        return _strip(h), budget
+    return h, vec[1:]
 
 
 def _minimalize(lms_terms: list) -> list:
@@ -460,7 +500,7 @@ class StandardBasis:
     """
 
     packed: tuple
-    order_tag: str = "ds"
+    order_tag: ClassVar[str] = "ds"
 
     @cached_property
     def elements(self) -> tuple[Poly, ...]:
@@ -483,18 +523,33 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     returned representative is normalized up to a unit (integer coefficients,
     content-free, positive leading coefficient).
 
-    With ``certificate=True`` the exact relation is tracked and the triple
-    ``(r, u, cofactors)`` with u*f == sum(cofactors[i]*basis[i]) + r is
-    returned, without the normalization above.
+    With ``certificate=True`` the walk also tracks the relation and returns a
+    triple ``(r, u, cofactors)`` with u*f == sum(cofactors[i]*basis[i]) + r
+    exactly and u(0) != 0.  Only that relation and u being a unit are
+    promised: the triple is fixed only up to a common nonzero rational
+    factor, and r is not normalized.  For 3*y^3 against [x^4 - y^3], both
+    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.
     """
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("normal form against a basis containing zero")
-    if certificate:
-        return _mora_nf_certified(f, basis)
     if f.is_zero:
-        return Poly.zero()
-    reducers = [_reducer(_to_internal(g)) for g in basis]
+        return (f, Poly.one(), [f] * len(basis)) if certificate else f
+    packed = [_to_internal(g) for g in basis]
+    reducers = [_reducer(t) for t in packed]
+    h = _to_internal(f)
+    if certificate:
+        # The walk relates the packed inputs, which are the inputs scaled by
+        # lc(packed p) / lc(p); scale u and each cofactor back.
+        r, (u, *qs) = _mora_nf(h, reducers, track=True)
+        return (
+            _to_poly(r),
+            _to_poly(u).scale(Fraction(h[0][1]) / f.leading_coefficient()),
+            [
+                _to_poly(q).scale(Fraction(t[0][1]) / g.leading_coefficient())
+                for q, t, g in zip(qs, packed, basis)
+            ],
+        )
     # Truncation is sound against ANY basis, standard or not: if the basis
     # leading monomials admit a staircase bound N, every monomial of degree
     # >= N weak-reduces to zero (see _staircase_bound), so m^N lies in the
@@ -502,48 +557,7 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     # the walk finite-by-construction: each step strictly increases the
     # leading code, which truncation bounds.
     trunc = _staircase_bound([r[:2] for r in reducers])
-    return _to_poly(_mora_nf(_to_internal(f), reducers, trunc)[0])
-
-
-def _mora_nf_certified(f: Poly, basis: list):
-    """Fraction-arithmetic twin of :func:`_mora_nf` that tracks cofactors.
-
-    Maintains h == u*f - sum(q_i * g_i) throughout; adjoined reducers carry
-    their own representation so reductions by them fold back onto the basis.
-    """
-    zero = Poly.zero()
-    u = Poly.one()
-    qs = [zero] * len(basis)
-    h = f
-    # entries: (lm, ecart, poly, u_part or None, q_parts or index)
-    reducers: list = [
-        (g.leading_monomial(), g.ecart(), g, None, i) for i, g in enumerate(basis)
-    ]
-    while not h.is_zero:
-        lmh = h.leading_monomial()
-        best = None
-        best_key = None
-        for lmg, ecg, g, gu, gq in reducers:
-            if monomial_divides(lmg, lmh):
-                key = (ecg, (-(lmg[0] + lmg[1]), -lmg[1]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (lmg, ecg, g, gu, gq)
-        if best is None:
-            break
-        lmg, ecg, g, gu, gq = best
-        if ecg > h.ecart():
-            reducers.append((lmh, h.ecart(), h, u, list(qs)))
-        c = h.leading_coefficient() / g.leading_coefficient()
-        shift = (lmh[0] - lmg[0], lmh[1] - lmg[1])
-        t = Poly.term(shift, c)
-        h = h.sub_scaled_shifted(g, c, shift)
-        if gu is None:
-            qs[gq] = qs[gq] + t
-        else:
-            u = u - t * gu
-            qs = [q - t * qw for q, qw in zip(qs, gq)]
-    return h, u, qs
+    return _to_poly(_mora_nf(h, reducers, trunc)[0])
 
 
 # -- exact gcd in Z[x, y] ---------------------------------------------------
@@ -734,15 +748,6 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     return None
 
 
-def _product(t1, t2) -> list:
-    """The product of two internal polynomials."""
-    acc: dict = {}
-    for c1, v1 in t1:
-        for c2, v2 in t2:
-            acc[c1 + c2] = acc.get(c1 + c2, 0) + v1 * v2
-    return _strip(sorted((c, v) for c, v in acc.items() if v))
-
-
 def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
     """Standard basis of the ideal of internal generators: Mora, else a fallback."""
     internal = _std(packed)
@@ -761,7 +766,7 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
             # multiply, so the leading ideals match on both sides.
             g, cofactors = split
             inner = _standard_basis_cached(cofactors).packed
-            internal = [_product(g, t) for t in inner]
+            internal = [_from_zz(_zsum((_zz(g), _zz(t)))) for t in inner]
     return StandardBasis(tuple(map(tuple, internal)))
 
 

@@ -310,7 +310,7 @@ def run_nondicritical_tjurina_bound_suite(seed=111, target=40):
     return cases, failures
 
 
-def run_polar_teissier_zero_suite(seed=112, target=25):
+def run_polar_teissier_zero_suite(seed=112, target=200):
     """k = 0 polar number of the Hamiltonian pencil: i = mu + nu - 1."""
     rng = random.Random(seed)
     cases = failures = 0
@@ -326,11 +326,12 @@ def run_polar_teissier_zero_suite(seed=112, target=25):
     return cases, failures
 
 
-def run_ratio_theorem_suite(seed=113, target=60):
+def run_ratio_theorem_suite(seed=113, target=200):
     """Weighted-homogeneous f and k < nu(f): mu^k/tau^k <= 4/3."""
     rng = random.Random(seed)
     cases = failures = 0
-    for f in _weighted_homogeneous_corpus(rng, 30):
+    while cases < target:
+        (f,) = _weighted_homogeneous_corpus(rng, 1)
         if tjurina_k(f, 0) == 0:
             continue
         for k in range(0, f.multiplicity()):
@@ -408,6 +409,8 @@ SUITES = {
     "bound-chain": run_bound_chain_suite,
     "qh-identity": run_qh_identity_suite,
     "sweep-step": run_sweep_step_suite,
+    "polar-teissier-zero": run_polar_teissier_zero_suite,
+    "ratio-theorem": run_ratio_theorem_suite,
 }
 
 
@@ -473,12 +476,12 @@ def test_nondicritical_tjurina_bound():
 
 def test_polar_teissier_zero():
     cases, failures = run_polar_teissier_zero_suite()
-    assert cases >= 20 and failures == 0
+    assert cases >= 200 and failures == 0
 
 
 def test_ratio_theorem():
     cases, failures = run_ratio_theorem_suite()
-    assert cases >= 40 and failures == 0
+    assert cases >= 200 and failures == 0
 
 
 def test_gsv_branch_consistency():

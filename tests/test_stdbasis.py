@@ -118,6 +118,31 @@ class TestNormalForm:
             assert lhs == rhs
             done += 1
 
+    @pytest.mark.parametrize(
+        "f, basis",
+        [
+            (
+                Fraction(1, 2) * X * Y**2 - Fraction(7, 3) * Y**3 + 5 * X**4,
+                [Fraction(-2, 3) * (X**2 - Y**3), 4 * Y + 6 * X**3],
+            ),
+            (
+                Fraction(-3, 4) * Y**2 + Fraction(2, 9) * X**3 - X * Y**4,
+                [-6 * Y**2 + 9 * X**3 * Y, Fraction(1, 5) * X**2 - Y**5],
+            ),
+            (3 * Y**3, [X**4 - Y**3]),
+            (Poly.zero(), [Fraction(-2, 3) * (X**2 - Y**3), 4 * Y + 6 * X**3]),
+            (Fraction(5, 7) * X**2 - 4 * Y, []),
+        ],
+        ids=["rational-basis", "non-primitive-basis", "scaled-f", "zero-f", "empty"],
+    )
+    def test_certificate_on_scaled_inputs(self, f, basis):
+        # Negative, rational and non-primitive coefficients, which the engine
+        # rescales before its walk and must scale back in u and the cofactors.
+        r, u, cof = mora_normal_form(f, basis, certificate=True)
+        assert u.constant_term() != 0
+        assert len(cof) == len(basis)
+        assert u * f == sum((c * g for c, g in zip(cof, basis)), Poly.zero()) + r
+
 
 class TestStandardBasis:
     def test_already_standard(self):
