@@ -32,7 +32,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm, log2, prod
+from math import comb, log2, prod
 from typing import NamedTuple
 
 from . import scenarios as scenarios_mod
@@ -58,8 +58,8 @@ from .invariants import (
     teissier_k_check,
     tjurina_k,
 )
-from .ring import Poly, X, Y
-from .stdbasis import INFINITE, Ideal, colength, is_finite
+from .ring import Poly, X, Y, _decode
+from .stdbasis import INFINITE, Ideal, colength
 
 
 # -- polynomial expression parser ---------------------------------------------
@@ -167,16 +167,12 @@ def _shape(p: Poly) -> tuple:
     D is the common denominator of the coefficients and |.|_1 the sum of the
     absolute values of the coefficients.  In a product of powers of such
     polynomials, numerators and denominators have at most sum(e * last entry)
-    + 1 bits.
+    + 1 bits.  As p.prim is primitive, D is the denominator of p.content.
     """
-    den = lcm(*(c.denominator for _, c in p.terms))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for _, c in p.terms)
-    return (
-        len(p.terms),
-        max(m[0] for m, _ in p.terms),
-        max(m[1] for m, _ in p.terms),
-        log2(norm) + log2(den),
-    )
+    den = p.content.denominator
+    norm = abs(p.content.numerator) * sum(abs(c) for _, c in p.prim)
+    a, b = zip(*(_decode(code) for code, _ in p.prim))
+    return len(p.prim), max(a), max(b), log2(norm) + log2(den)
 
 
 def _check_size(op: _Token, factors: list) -> None:
@@ -236,7 +232,7 @@ class _Parser:
         while self._peek().kind == "STAR":
             op = self._advance()
             rhs = self._unary()
-            if len(node.terms) > 1 and len(rhs.terms) > 1:
+            if len(node.prim) > 1 and len(rhs.prim) > 1:
                 _check_size(op, [(_shape(node), 1), (_shape(rhs), 1)])
             node = node * rhs
         return node
@@ -266,7 +262,7 @@ class _Parser:
                     {"integer exponent <= 10^6"},
                 )
             self._advance()
-            if len(node.terms) > 1:
+            if len(node.prim) > 1:
                 _check_size(op, [(_shape(node), exponent)])
             return node**exponent
         return node

@@ -228,22 +228,33 @@ def _require_reduced(C: CurveGerm) -> None:
 def gsv_index(F: Foliation, C: CurveGerm) -> int:
     """GSV index of F along the invariant reduced curve C.
 
-    Uses the two explicit decompositions g*w = h*df + f*eta available without
-    solving any syzygy: (g, h) = (f_y, Q), valid since
-    f_y*w - Q*df = (P*f_y - Q*f_x) dx = f*htilde dx, and the symmetric
-    (g, h) = (f_x, P).  The index is i(f,h) - i(f,g) for whichever pair has
-    both intersection numbers finite.
+    For every direction (a:b), (g, h) = (a*f_x + b*f_y, a*P + b*Q) is an
+    explicit decomposition g*w = h*df + f*eta, found without solving any
+    syzygy: g*w - h*df = (P*f_y - Q*f_x)(b dx - a dy), and f divides
+    P*f_y - Q*f_x.  The index is i(f,h) - i(f,g) for the first direction
+    with both intersection numbers finite.  (0:1) and (1:0) come first;
+    then (1:t) for t = 1 .. 2*nu(f) - 1.  Each branch of f makes at most one
+    direction fail for g and at most one for h, so one of these 2*nu(f) + 1
+    directions gives finite numbers.
     """
     if not is_invariant(F, C):
         raise PreconditionError("the curve is not invariant by the foliation")
     _require_reduced(C)
     f = C.f
-    for g, h in ((f.partial_y(), F.Q), (f.partial_x(), F.P)):
+    fx, fy = f.partial_x(), f.partial_y()
+    directions = [(0, 1), (1, 0)] + [(1, t) for t in range(1, 2 * f.multiplicity())]
+    for a, b in directions:
+        g = a * fx + b * fy
+        h = a * F.P + b * F.Q
         ih = intersection_number(f, h)
         ig = intersection_number(f, g)
         if is_finite(ih) and is_finite(ig):
             return ih - ig
-    raise PreconditionError("degenerate decomposition")
+    raise RuntimeError(
+        f"no direction of {len(directions)} gives a finite decomposition,"
+        " but a reduced curve with at most nu(f) branches rules out at most"
+        " 2*nu(f) of them"
+    )
 
 
 def polar_intersection_k(
@@ -392,13 +403,11 @@ def ell_k(a1: int, a2: int, k: int) -> int:
     _natural(k, "k")
     if not isinstance(a1, int) or not isinstance(a2, int) or not 2 <= a1 <= a2:
         raise PreconditionError("exponents must be integers with 2 <= a1 <= a2")
-    value = (a1 - 1) * (a2 - 1) + k * (k + 3) // 2
-    if k >= a1:
-        value -= (k - a1 + 2) * (k - a1 + 1) // 2
-    return value
+    return int(_ell_k_rational(a1, a2, k))
 
 
 def _ell_k_rational(a1: Fraction, a2: Fraction, k: int) -> Fraction:
+    """The formula of :func:`ell_k`, exact for rational exponents as well."""
     value = (a1 - 1) * (a2 - 1) + Fraction(k * (k + 3), 2)
     if k >= a1:
         value -= (k - a1 + 2) * (k - a1 + 1) / Fraction(2)

@@ -2,8 +2,7 @@
 
 Polynomials stand for germs of holomorphic functions at the origin of the
 plane, restricted to rational coefficients.  A monomial is an exponent pair
-``(a, b)`` meaning x^a * y^b; a polynomial stores its nonzero terms sorted
-descending in the local order, so ``terms[0]`` is always the leading term.
+``(a, b)`` meaning x^a * y^b.
 
 The order is the local degree order: monomials of *lower* total degree are
 *larger* (the constant monomial 1 is the maximum), with ties broken reverse
@@ -11,11 +10,22 @@ lexicographically taking x > y.  For example 1 > x > y > x^2 > x*y > y^2.
 Normal forms computed against this order live in the local ring (convergent
 power series localized at the origin) rather than in the polynomial ring,
 which is what every colength downstream relies on.
+
+A :class:`Poly` is stored as ``content * prim``.  ``prim`` is a term list:
+a tuple of (code, int) pairs, ascending by code, whose coefficients have no
+common factor and whose first (leading) coefficient is positive.  The code
+of x^a y^b is ((a+b) << _SHIFT) | b, so integer order of codes is the local
+order read descending, and multiplying monomials adds codes; total degrees
+stay below 2^40.  ``content`` is a Fraction, 0 for the zero polynomial.
+This module owns that format; the standard-basis engine in
+:mod:`folinv.stdbasis` computes on term lists directly, so a ``Poly``
+enters it without conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Monomial = tuple[int, int]
@@ -61,60 +71,100 @@ def total_degree(m: Monomial) -> int:
     return m[0] + m[1]
 
 
-def _merge(t1: tuple, t2: tuple, scale: Fraction) -> tuple:
-    """Term tuple of t1 + scale * t2; both inputs sorted, output sorted."""
+# -- term lists ---------------------------------------------------------------
+#
+# code(x^a y^b) = ((a+b) << _SHIFT) | b.  Integer comparison of codes is
+# exactly the (total degree, reverse-lex) comparison of the local order read
+# ascending, and multiplication of monomials is addition of codes.  _SHIFT=40
+# leaves room for exponents far beyond the CLI's 10^6 cap.
+
+_SHIFT = 40
+_MASK = (1 << _SHIFT) - 1
+
+
+def _encode(m: Monomial) -> int:
+    return ((m[0] + m[1]) << _SHIFT) | m[1]
+
+
+def _decode(code: int) -> Monomial:
+    b = code & _MASK
+    return ((code >> _SHIFT) - b, b)
+
+
+def _content(t) -> int:
+    """The gcd of the coefficients of t, negated when the leading one is negative."""
+    g = 0
+    for _, c in t:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return -g if t and t[0][1] < 0 else g
+
+
+def _strip(t):
+    """t divided by its content: primitive, with a positive leading coefficient."""
+    g = _content(t)
+    if g == 1 or not g:
+        return t
+    return [(code, c // g) for code, c in t]
+
+
+def _combine(t1, m1: int, s1: int, t2, m2: int, s2: int) -> list:
+    """m1 * x^s1 * t1 + m2 * x^s2 * t2 as a merged sorted term list."""
     out = []
     i = j = 0
     n1, n2 = len(t1), len(t2)
     while i < n1 and j < n2:
-        m1, c1 = t1[i]
-        m2, c2 = t2[j]
-        k1 = (m1[0] + m1[1], m1[1])
-        k2 = (m2[0] + m2[1], m2[1])
-        if k1 < k2:
-            out.append((m1, c1))
+        c1 = t1[i][0] + s1
+        c2 = t2[j][0] + s2
+        if c1 < c2:
+            out.append((c1, m1 * t1[i][1]))
             i += 1
-        elif k2 < k1:
-            out.append((m2, scale * c2))
+        elif c2 < c1:
+            out.append((c2, m2 * t2[j][1]))
             j += 1
         else:
-            c = c1 + scale * c2
-            if c:
-                out.append((m1, c))
+            v = m1 * t1[i][1] + m2 * t2[j][1]
+            if v:
+                out.append((c1, v))
             i += 1
             j += 1
-    if i < n1:
-        out.extend(t1[i:])
-    out.extend((m2, scale * c2) for m2, c2 in t2[j:])
-    return tuple(out)
+    while i < n1:
+        out.append((t1[i][0] + s1, m1 * t1[i][1]))
+        i += 1
+    while j < n2:
+        out.append((t2[j][0] + s2, m2 * t2[j][1]))
+        j += 1
+    return out
+
+
+_ONE_DEGREE = 1 << _SHIFT
 
 
 class Poly:
-    """Immutable sparse polynomial in x, y with Fraction coefficients."""
+    """Immutable sparse polynomial in x, y with rational coefficients.
 
-    __slots__ = ("terms", "_hash")
+    ``content * prim``: see the module docstring.  ``terms`` gives the same
+    value as (monomial, Fraction) pairs, leading term first.
+    """
 
-    def __init__(self, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
+    __slots__ = ("content", "prim", "_hash")
+
+    def __new__(cls, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         """Build from (monomial, coefficient) pairs; zeros dropped, like terms merged."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[int, Coefficient] = {}
         for m, c in terms:
-            c = Fraction(c)
-            if c:
-                prev = acc.get(m)
-                if prev is None:
-                    acc[m] = c
-                else:
-                    s = prev + c
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(acc.items(), key=lambda t: order_key(t[0]))),
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            code = _encode(m)
+            acc[code] = acc[code] + c if code in acc else c
+        den = lcm(*(c.denominator for c in acc.values()))
+        t = sorted(
+            (code, c.numerator * (den // c.denominator))
+            for code, c in acc.items()
+            if c
         )
-        object.__setattr__(self, "_hash", None)
+        return cls._of_terms(t, 1, den)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -122,38 +172,47 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: tuple) -> "Poly":
-        """Wrap an already-normalized sorted term tuple without re-sorting."""
-        p = cls.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+    def _wrap(cls, content: Fraction, prim: tuple) -> "Poly":
+        """The Poly content * prim, for a prim already in normal form."""
+        # The last term has the largest degree.  Below 2^40, no y exponent
+        # overflows into the degree bits of its code.
+        if prim and prim[-1][0] >> _SHIFT > _MASK:
+            raise ValueError("total degrees must stay below 2^40")
+        p = object.__new__(cls)
+        object.__setattr__(p, "content", content)
+        object.__setattr__(p, "prim", prim)
         object.__setattr__(p, "_hash", None)
         return p
 
     @classmethod
+    def _of_terms(cls, t, num: int = 1, den: int = 1) -> "Poly":
+        """num/den * t for any sorted integer term list t."""
+        return cls._wrap(Fraction(num * _content(t), den), tuple(_strip(t)))
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls._raw(())
+        return cls._wrap(Fraction(0), ())
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._raw(((ONE_MONOMIAL, Fraction(1)),))
+        return cls._wrap(Fraction(1), ((0, 1),))
 
     @classmethod
     def constant(cls, c: Coefficient) -> "Poly":
-        c = Fraction(c)
-        return cls._raw(((ONE_MONOMIAL, c),)) if c else cls.zero()
+        return cls.term(ONE_MONOMIAL, c)
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         if name == "x":
-            return cls._raw((((1, 0), Fraction(1)),))
+            return cls.term((1, 0))
         if name == "y":
-            return cls._raw((((0, 1), Fraction(1)),))
+            return cls.term((0, 1))
         raise ValueError(f"unknown variable {name!r}")
 
     @classmethod
     def term(cls, m: Monomial, c: Coefficient = 1) -> "Poly":
         c = Fraction(c)
-        return cls._raw(((m, c),)) if c else cls.zero()
+        return cls._wrap(c, ((_encode(m), 1),)) if c else cls.zero()
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, Coefficient]) -> "Poly":
@@ -162,101 +221,104 @@ class Poly:
     # -- term access -------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The (monomial, Fraction) pairs, descending in the local order."""
+        content = self.content
+        return tuple((_decode(code), content * c) for code, c in self.prim)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.prim
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.prim:
             raise ValueError("the zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return _decode(self.prim[0][0])
 
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.prim:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self.content * self.prim[0][1]
 
     def constant_term(self) -> Fraction:
-        if self.terms and self.terms[0][0] == ONE_MONOMIAL:
-            return self.terms[0][1]
-        return Fraction(0)
+        return self.leading_coefficient() if self.is_unit() else Fraction(0)
 
     def is_unit(self) -> bool:
         """True when invertible in the local ring, i.e. nonzero at the origin."""
-        return bool(self.terms) and self.terms[0][0] == ONE_MONOMIAL
+        return bool(self.prim) and self.prim[0][0] == 0
 
     def multiplicity(self) -> int:
         """Order of vanishing at the origin (minimal total degree of a term)."""
-        if not self.terms:
+        if not self.prim:
             raise ValueError("the zero germ has no multiplicity")
-        m = self.terms[0][0]
-        return m[0] + m[1]
+        return self.prim[0][0] >> _SHIFT
 
     def degree(self) -> int:
         """Maximal total degree of a term."""
-        if not self.terms:
+        if not self.prim:
             raise ValueError("the zero polynomial has no degree")
-        m = self.terms[-1][0]
-        return m[0] + m[1]
+        return self.prim[-1][0] >> _SHIFT
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._raw(_merge(self.terms, other.terms, Fraction(1)))
+        # one merge over the common denominator
+        c1, c2 = self.content, other.content
+        den = lcm(c1.denominator, c2.denominator)
+        t = _combine(
+            self.prim, c1.numerator * (den // c1.denominator), 0,
+            other.prim, c2.numerator * (den // c2.denominator), 0,
+        )
+        return Poly._of_terms(t, 1, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._raw(_merge(self.terms, other.terms, Fraction(-1)))
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(tuple((m, -c) for m, c in self.terms))
+        return Poly._wrap(-self.content, self.prim)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if len(self.terms) == 1:
-                return other._shifted(*self.terms[0])
-            if len(other.terms) == 1:
-                return self._shifted(*other.terms[0])
-            acc: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    m = (m1[0] + m2[0], m1[1] + m2[1])
-                    prev = acc.get(m)
-                    acc[m] = c1 * c2 if prev is None else prev + c1 * c2
-            return Poly._raw(
-                tuple(
-                    (m, c)
-                    for m, c in sorted(acc.items(), key=lambda t: order_key(t[0]))
-                    if c
-                )
-            )
+            # Gauss's lemma: a product of primitive term lists with positive
+            # leading coefficients is one, so the product needs no strip.
+            p, q = self.prim, other.prim
+            if len(p) == 1:
+                p, q = q, p
+            if len(q) == 1:
+                # a one-term prim is ((code, 1),): the product shifts codes
+                s = q[0][0]
+                prim = tuple((code + s, c) for code, c in p) if s else p
+            else:
+                acc: dict[int, int] = {}
+                for c1, v1 in p:
+                    for c2, v2 in q:
+                        code = c1 + c2
+                        acc[code] = acc.get(code, 0) + v1 * v2
+                prim = tuple((code, v) for code, v in sorted(acc.items()) if v)
+            # Fraction products are slow, and most contents are 1
+            c1, c2 = self.content, other.content
+            return Poly._wrap(c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2, prim)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _shifted(self, m: Monomial, c: Fraction) -> "Poly":
-        """c * x^m * self.  A monomial shift keeps the terms in order."""
-        da, db = m
-        if c == 1:
-            return Poly._raw(tuple(((a + da, b + db), t) for (a, b), t in self.terms))
-        return Poly._raw(tuple(((a + da, b + db), c * t) for (a, b), t in self.terms))
-
     def scale(self, c: Coefficient) -> "Poly":
         c = Fraction(c)
         if not c:
             return Poly.zero()
-        return Poly._raw(tuple((m, c * coef) for m, coef in self.terms))
+        return Poly._wrap(c * self.content, self.prim)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        if len(self.terms) == 1:
-            (a, b), c = self.terms[0]
-            return Poly._raw((((a * n, b * n), c**n),))
+        if len(self.prim) == 1:
+            return Poly._wrap(self.content**n, ((self.prim[0][0] * n, 1),))
         # The loop beats repeated squaring once the base has a few terms: it
         # multiplies by the small base, squaring multiplies two large powers.
         out = Poly.one()
@@ -267,39 +329,49 @@ class Poly:
     def monic(self) -> "Poly":
         """Divide by the leading coefficient."""
         lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        return Poly._raw(tuple((m, c / lc) for m, c in self.terms))
+        return self if lc == 1 else Poly._wrap(self.content / lc, self.prim)
 
     # -- calculus ----------------------------------------------------------
 
     def partial_x(self) -> "Poly":
-        return Poly._raw(
-            tuple(((a - 1, b), a * c) for (a, b), c in self.terms if a > 0)
-        )
+        # d/dx lowers the degree and keeps b: every code drops by one degree
+        out = []
+        for code, c in self.prim:
+            a = (code >> _SHIFT) - (code & _MASK)
+            if a:
+                out.append((code - _ONE_DEGREE, a * c))
+        return Poly._of_terms(out, self.content.numerator, self.content.denominator)
 
     def partial_y(self) -> "Poly":
-        return Poly._raw(
-            tuple(((a, b - 1), b * c) for (a, b), c in self.terms if b > 0)
-        )
+        # d/dy lowers the degree and b: every code drops by one degree and 1
+        out = []
+        for code, c in self.prim:
+            b = code & _MASK
+            if b:
+                out.append((code - _ONE_DEGREE - 1, b * c))
+        return Poly._of_terms(out, self.content.numerator, self.content.denominator)
 
     # -- comparisons, hashing, display --------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return (
+            isinstance(other, Poly)
+            and self.prim == other.prim
+            and self.content == other.content
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.terms)
+            h = hash((self.content, self.prim))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.prim)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.prim:
             return "0"
         parts = []
         for (a, b), c in self.terms:

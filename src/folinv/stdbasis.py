@@ -7,48 +7,38 @@ tangent-cone algorithm: Buchberger's loop driven by Mora's weak normal form,
 whose ecart strategy may adjoin intermediate remainders as extra reducers --
 that is what makes division terminate under a local order.
 
-The public API speaks exact-rational :class:`~folinv.ring.Poly` values.  The
-hot loops run over content-free integer term lists whose monomials are packed
-into single ints ordered compatibly with the local order, and use fraction-free
-pseudo-reduction; results are only converted back at the boundary (a nonzero
-normal form is determined up to a unit of the local ring, so normalizing to a
-primitive, positive-leading representative loses nothing).  One walk,
-:func:`_mora_nf`, computes every normal form, for standard bases, membership
-and :func:`mora_normal_form` alike; asked for a certificate, it carries the
-cofactors of the relation along as integer term lists too, so no Fraction
-arithmetic runs inside a reduction loop.
+A :class:`~folinv.ring.Poly` is content times a primitive term list, the
+format :mod:`folinv.ring` defines: integer coefficients, monomials packed
+into single ints ordered compatibly with the local order.  The engine reads
+the term lists of its inputs as they are and builds Polys only for results
+that callers ask for as such.  Its loops use fraction-free pseudo-reduction;
+a nonzero normal form is determined up to a unit of the local ring, so
+keeping it primitive with a positive leading coefficient loses nothing.  One
+walk, :func:`_mora_nf`, computes every normal form, for standard bases,
+membership and :func:`mora_normal_form` alike; asked for a certificate, it
+carries the cofactors of the relation along as term lists too, so no
+Fraction arithmetic runs inside a reduction loop.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
 from typing import ClassVar
 
-from .ring import Monomial, Poly
-
-# -- packed monomial codes --------------------------------------------------
-#
-# code(x^a y^b) = ((a+b) << _SHIFT) | b.  Integer comparison of codes is
-# exactly the (total degree, reverse-lex) comparison of the local order read
-# ascending, and multiplication of monomials is addition of codes.  _SHIFT=40
-# leaves room for exponents far beyond the CLI's 10^6 cap.
-
-_SHIFT = 40
-_MASK = (1 << _SHIFT) - 1
-
-
-def _encode(m: Monomial) -> int:
-    return ((m[0] + m[1]) << _SHIFT) | m[1]
-
-
-def _decode(code: int) -> Monomial:
-    b = code & _MASK
-    return ((code >> _SHIFT) - b, b)
+from .ring import (
+    _MASK,
+    _SHIFT,
+    Monomial,
+    Poly,
+    _combine,
+    _decode,
+    _encode,
+    _strip,
+)
 
 
 def _code_divides(c1: int, c2: int) -> bool:
@@ -57,66 +47,9 @@ def _code_divides(c1: int, c2: int) -> bool:
     return b1 <= b2 and (c1 >> _SHIFT) - b1 <= (c2 >> _SHIFT) - b2
 
 
-# Internal polynomials: lists of (code, int_coeff), sorted ascending by code
-# (leading term first), content-free with positive leading coefficient.
-
-
-def _to_internal(p: Poly) -> list:
-    den = 1
-    for _, c in p.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _strip(
-        [(_encode(m), c.numerator * (den // c.denominator)) for m, c in p.terms]
-    )
-
-
-def _to_poly(t: list) -> Poly:
-    return Poly._raw(tuple((_decode(code), Fraction(c)) for code, c in t))
-
-
-def _strip(t: list) -> list:
-    """Divide out the content and normalize the leading coefficient positive."""
-    if not t:
-        return t
-    g = 0
-    for _, c in t:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if t[0][1] < 0:
-        g = -g
-    if g == 1:
-        return t
-    return [(code, c // g) for code, c in t]
-
-
-def _combine(t1: list, m1: int, s1: int, t2: list, m2: int, s2: int) -> list:
-    """m1 * x^s1 * t1 + m2 * x^s2 * t2 as a merged sorted term list."""
-    out = []
-    i = j = 0
-    n1, n2 = len(t1), len(t2)
-    while i < n1 and j < n2:
-        c1 = t1[i][0] + s1
-        c2 = t2[j][0] + s2
-        if c1 < c2:
-            out.append((c1, m1 * t1[i][1]))
-            i += 1
-        elif c2 < c1:
-            out.append((c2, m2 * t2[j][1]))
-            j += 1
-        else:
-            v = m1 * t1[i][1] + m2 * t2[j][1]
-            if v:
-                out.append((c1, v))
-            i += 1
-            j += 1
-    while i < n1:
-        out.append((t1[i][0] + s1, m1 * t1[i][1]))
-        i += 1
-    while j < n2:
-        out.append((t2[j][0] + s2, m2 * t2[j][1]))
-        j += 1
-    return out
+def _to_poly(t) -> Poly:
+    """The Poly of an integer term list, which need not be primitive."""
+    return Poly._of_terms(t)
 
 
 def _ecart(t: list) -> int:
@@ -208,7 +141,7 @@ _COEFF_BIT_LIMIT = 6000
 
 
 def _reducer(t: list) -> tuple:
-    """An internal polynomial as a reducer of :func:`_mora_nf`.
+    """A term list as a reducer of :func:`_mora_nf`.
 
     (a, b, code, ecart, t): the exponents and the code of its leading
     monomial, for a divisibility test without decoding, and its ecart.
@@ -257,6 +190,8 @@ def _mora_nf(
     vectors = vec = None
     if track:
         # Keyed on the reducer's term list, so the scan below stays as it is.
+        # Basis elements that share one term list object (g and 2*g share
+        # their prim) share one vector, which serves for either of them.
         n = len(basis)
         vec = [h, [(0, 1)]] + [[] for _ in range(n)]
         vectors = {
@@ -314,7 +249,7 @@ def _minimalize(lms_terms: list) -> list:
 
 
 def _std(gens: list) -> "list | None":
-    """Tangent-cone standard basis of a list of internal polynomials.
+    """Tangent-cone standard basis of a list of term lists.
 
     Normal strategy: s-pairs are processed by increasing total degree of the
     lcm of leading monomials, ties by creation order.  The tails are left as
@@ -494,8 +429,8 @@ def maximal_ideal_power(k: int) -> Ideal:
 class StandardBasis:
     """Standard basis of an ideal: monic elements, minimal set of leading monomials.
 
-    ``packed`` holds the elements as the engine computed them, as internal
-    polynomials; ``elements`` and ``leading_monomials`` are read off them on
+    ``packed`` holds the elements as the engine computed them, as term
+    lists; ``elements`` and ``leading_monomials`` are read off them on
     first access.
     """
 
@@ -535,20 +470,15 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
         raise ValueError("normal form against a basis containing zero")
     if f.is_zero:
         return (f, Poly.one(), [f] * len(basis)) if certificate else f
-    packed = [_to_internal(g) for g in basis]
-    reducers = [_reducer(t) for t in packed]
-    h = _to_internal(f)
+    reducers = [_reducer(g.prim) for g in basis]
     if certificate:
-        # The walk relates the packed inputs, which are the inputs scaled by
-        # lc(packed p) / lc(p); scale u and each cofactor back.
-        r, (u, *qs) = _mora_nf(h, reducers, track=True)
+        # The walk relates the primitive parts f.prim and g.prim; scale u
+        # and each cofactor back by the contents.
+        r, (u, *qs) = _mora_nf(f.prim, reducers, track=True)
         return (
             _to_poly(r),
-            _to_poly(u).scale(Fraction(h[0][1]) / f.leading_coefficient()),
-            [
-                _to_poly(q).scale(Fraction(t[0][1]) / g.leading_coefficient())
-                for q, t, g in zip(qs, packed, basis)
-            ],
+            _to_poly(u).scale(1 / f.content),
+            [_to_poly(q).scale(1 / g.content) for q, g in zip(qs, basis)],
         )
     # Truncation is sound against ANY basis, standard or not: if the basis
     # leading monomials admit a staircase bound N, every monomial of degree
@@ -557,7 +487,7 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     # the walk finite-by-construction: each step strictly increases the
     # leading code, which truncation bounds.
     trunc = _staircase_bound([r[:2] for r in reducers])
-    return _to_poly(_mora_nf(h, reducers, trunc)[0])
+    return _to_poly(_mora_nf(f.prim, reducers, trunc)[0])
 
 
 # -- exact gcd in Z[x, y] ---------------------------------------------------
@@ -567,12 +497,12 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
 
 
 def _zz(t) -> dict:
-    """An internal polynomial as a dict."""
+    """A term list as a dict."""
     return {_decode(code): c for code, c in t}
 
 
 def _from_zz(p: dict) -> list:
-    """A dict as an internal polynomial: sorted, primitive, positive leading term."""
+    """A dict as a term list: sorted, primitive, positive leading term."""
     return _strip(sorted((_encode(m), c) for m, c in p.items()))
 
 
@@ -651,7 +581,7 @@ def _zgcd(p: dict, q: dict, v: int = 0) -> dict:
 
 
 def _split_common_factor(gens: tuple) -> "tuple[list, tuple] | None":
-    """Factor internal generators as g * cofactors, g their primitive gcd in Z[x, y].
+    """Factor term lists as g * cofactors, g their primitive gcd in Z[x, y].
 
     Returns None when g(0) != 0: the generators then share no curve through
     the origin, so the ideal they generate in the local ring is
@@ -659,7 +589,7 @@ def _split_common_factor(gens: tuple) -> "tuple[list, tuple] | None":
     factors of g through the origin and w(0) != 0 a unit of the local ring, so
     g and v generate the same local ideal and have the same leading monomial.
     The cofactors are gens/g up to nonzero constants.  g and the cofactors
-    are internal polynomials.
+    are term lists.
     """
     zs = [_zz(t) for t in gens]
     g = reduce(_zgcd, zs)
@@ -675,7 +605,7 @@ def _eliminate_row(row: dict, pivots: dict) -> None:
     code, i.e. its leading monomial in the local order.  Reduction is
     fraction-free (Bareiss): cross-multiply by the two leading coefficients
     over their gcd, then divide out the row content.  Pivot rows are stored
-    as internal polynomials: sorted, primitive, positive leading coefficient.
+    as term lists: sorted, primitive, positive leading coefficient.
     """
     while row:
         lead = min(row)
@@ -749,7 +679,7 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
 
 
 def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
-    """Standard basis of the ideal of internal generators: Mora, else a fallback."""
+    """Standard basis of the ideal of term-list generators: Mora, else a fallback."""
     internal = _std(packed)
     if internal is None:
         split = _split_common_factor(packed)
@@ -771,10 +701,10 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
 
 
 def _pack(ideal: "Ideal | None") -> tuple:
-    """The generators of an ideal as internal polynomials; None is the zero ideal."""
+    """The term lists (prim) of an ideal's generators; None is the zero ideal."""
     if ideal is None:
         return ()
-    return tuple(tuple(_to_internal(g)) for g in ideal.generators)
+    return tuple(g.prim for g in ideal.generators)
 
 
 def _shift(t, code: int) -> tuple:
@@ -796,7 +726,7 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _BasisCache:
     """Bounded LRU cache of standard bases of m^k * J + P, keyed on (J, k, P).
 
-    J and P are tuples of internal generators.  An entry with k = 0, or with
+    J and P are tuples of term lists.  An entry with k = 0, or with
     J zero, is the entry of the generators J + P with k = 0: those serve
     :func:`standard_basis`, :func:`leading_ideal` and :func:`contains`.
 
@@ -918,15 +848,14 @@ def contains(ideal: Ideal, f: Poly) -> bool:
         return True
     sb = standard_basis(ideal)
     trunc = _staircase_bound(sb.leading_monomials)
-    h = _to_internal(f)
     r, _ = _mora_nf(
-        h,
+        f.prim,
         [_reducer(t) for t in sb.packed],
         trunc,
         _NF_STEP_BUDGET if trunc is None else None,
     )
     if r is not None:
         return not r
-    if _split_common_factor(_pack(ideal) + (h,)) is None:
+    if _split_common_factor(_pack(ideal) + (f.prim,)) is None:
         return False
     return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)

@@ -162,6 +162,16 @@ class TestFoliationInvariants:
             assert gsv_index(fol, c) == m + n - m * n
             assert gsv_theorem_check(fol, c, 5)
 
+    def test_gsv_with_coordinate_axis_branches(self):
+        # f_x = y and f_y = x are both branches of xy, so the first two
+        # decompositions (f_y, Q) and (f_x, P) fail; (x + y, P + Q) does not
+        axes = curve(X * Y)
+        saddle = Foliation(3 * Y - X * Y, 2 * X + X * Y)
+        for fol in (saddle, Foliation(Y, 2 * X)):
+            assert gsv_index(fol, axes) == 0
+        for k in range(4):
+            assert foliation_tjurina_k(saddle, axes, k) == tjurina_k(X * Y, k)
+
     def test_non_invariant_curve_rejected(self):
         fol = Foliation(4 * X * Y, Y - 2 * X**2)
         with pytest.raises(PreconditionError):

@@ -20,6 +20,7 @@ from folinv.stdbasis import (
 )
 from folinv.invariants import (
     Foliation,
+    PreconditionError,
     curve,
     foliation_milnor_k,
     foliation_tjurina_k,
@@ -263,9 +264,35 @@ def run_qh_identity_suite(seed=109, target=200):
     return cases, failures
 
 
-def run_tjurina_difference_suite(seed=110, target=60):
-    """tau^k(F,C) - tau(F,C) = tau^k(C) - tau(C) on the example corpus."""
+def _then_saddles(corpus, ks, seed, target):
+    """The (F, C) pairs of the corpus, then saddles along C = xy, until the
+    pairs give at least ``target`` cases at one case per k in ``ks``.
+
+    A saddle is P = a*y + y*h1, Q = b*x + x*h2 with 1 <= a, b <= 4 and
+    random h1, h2.  The axes are invariant, since P*f_y - Q*f_x =
+    xy(a - b + h1 - h2) for f = xy.  The linear part has eigenvalues b and
+    -a, so the singularity is a reduced non-dicritical saddle and xy is its
+    whole separatrix set.
+    """
+    yield from corpus
+    rng = random.Random(seed)
+    axes = curve(X * Y)
+    pairs = len(corpus)
+    while pairs * len(ks) < target:
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        try:
+            F = Foliation(a * Y + Y * rand_poly(rng), b * X + X * rand_poly(rng))
+        except PreconditionError:
+            continue
+        pairs += 1
+        yield F, axes
+
+
+def run_tjurina_difference_suite(seed=110, target=200):
+    """tau^k(F,C) - tau(F,C) = tau^k(C) - tau(C) on the example corpus and
+    on saddles along xy."""
     cases = failures = 0
+    ks = range(0, 7)
     corpus = [
         (Foliation(4 * X * Y, Y - 2 * X**2), curve(Y)),
         (Foliation(3 * Y + X**3, -X), curve(X)),
@@ -274,10 +301,10 @@ def run_tjurina_difference_suite(seed=110, target=60):
         (Foliation(-5 * Y, 3 * X), curve(Y**3 - X**5)),
         (hamiltonian(X**4 - Y**3), curve(X**4 - Y**3)),
     ]
-    for F, C in corpus:
+    for F, C in _then_saddles(corpus, ks, seed, target):
         t0f = foliation_tjurina_k(F, C, 0)
         t0c = tjurina_k(C.f, 0)
-        for k in range(0, 7):
+        for k in ks:
             lhs = foliation_tjurina_k(F, C, k) - t0f
             rhs = tjurina_k(C.f, k) - t0c
             cases += 1
@@ -286,14 +313,16 @@ def run_tjurina_difference_suite(seed=110, target=60):
     return cases, failures
 
 
-def run_nondicritical_tjurina_bound_suite(seed=111, target=40):
-    """Non-dicritical pairs (C the full separatrix set): tau^k(F,C) >= tau^k(C).
+def run_nondicritical_tjurina_bound_suite(seed=111, target=200):
+    """Non-dicritical pairs (C the full separatrix set): tau^k(F,C) >= tau^k(C),
+    on the example corpus and on saddles along xy.
 
     The linear foliations with first integral y^m/x^n are excluded: they are
     dicritical, their GSV index is negative, and the bound genuinely fails
     for them.
     """
     cases = failures = 0
+    ks = range(0, 7)
     corpus = [
         (Foliation(4 * X * Y, Y - 2 * X**2), curve(Y)),
         (Foliation(3 * Y + X**3, -X), curve(X)),
@@ -302,8 +331,8 @@ def run_nondicritical_tjurina_bound_suite(seed=111, target=40):
         (hamiltonian(X**4 - Y**3), curve(X**4 - Y**3)),
         (hamiltonian(X**2 + Y**2), curve(X**2 + Y**2)),
     ]
-    for F, C in corpus:
-        for k in range(0, 7):
+    for F, C in _then_saddles(corpus, ks, seed, target):
+        for k in ks:
             cases += 1
             if foliation_tjurina_k(F, C, k) < tjurina_k(C.f, k):
                 failures += 1
@@ -342,9 +371,11 @@ def run_ratio_theorem_suite(seed=113, target=200):
     return cases, failures
 
 
-def run_gsv_branch_consistency_suite(seed=114, target=30):
-    """GSV from the decomposition equals the Tjurina-difference telescopes."""
+def run_gsv_branch_consistency_suite(seed=114, target=200):
+    """GSV from the decomposition equals the Tjurina-difference telescopes,
+    on the example corpus and on saddles along xy."""
     cases = failures = 0
+    ks = range(0, 5)
     corpus = [
         (Foliation(4 * X * Y, Y - 2 * X**2), curve(Y)),
         (Foliation(3 * Y + X**3, -X), curve(X)),
@@ -353,9 +384,9 @@ def run_gsv_branch_consistency_suite(seed=114, target=30):
         (Foliation(-5 * Y, 3 * X), curve(Y**3 - X**5)),
         (Foliation(-7 * Y, 4 * X), curve(Y**4 - X**7)),
     ]
-    for F, C in corpus:
+    for F, C in _then_saddles(corpus, ks, seed, target):
         g = gsv_index(F, C)
-        for k in range(0, 5):
+        for k in ks:
             cases += 1
             if foliation_tjurina_k(F, C, k) - tjurina_k(C.f, k) != g:
                 failures += 1
@@ -411,6 +442,9 @@ SUITES = {
     "sweep-step": run_sweep_step_suite,
     "polar-teissier-zero": run_polar_teissier_zero_suite,
     "ratio-theorem": run_ratio_theorem_suite,
+    "tjurina-difference": run_tjurina_difference_suite,
+    "nondicritical-tjurina-bound": run_nondicritical_tjurina_bound_suite,
+    "gsv-branch-consistency": run_gsv_branch_consistency_suite,
 }
 
 
@@ -466,12 +500,12 @@ def test_sweep_step():
 
 def test_tjurina_difference():
     cases, failures = run_tjurina_difference_suite()
-    assert cases >= 40 and failures == 0
+    assert cases >= 200 and failures == 0
 
 
 def test_nondicritical_tjurina_bound():
     cases, failures = run_nondicritical_tjurina_bound_suite()
-    assert failures == 0
+    assert cases >= 200 and failures == 0
 
 
 def test_polar_teissier_zero():
@@ -486,4 +520,4 @@ def test_ratio_theorem():
 
 def test_gsv_branch_consistency():
     cases, failures = run_gsv_branch_consistency_suite()
-    assert failures == 0
+    assert cases >= 200 and failures == 0

@@ -543,7 +543,7 @@ class TestColength:
         # per generator: 2 per generator gives up and 3 does not, so the
         # number of walks does not raise the cost of giving up
         gens = [
-            stdbasis._to_internal(g)
+            g.prim
             for g in (
                 -3 * X**3 - 3 * X**2 * Y - 3 * Y**4,
                 2 * X**3 + 3 * Y**3 - 3 * X**3 * Y**2,
@@ -866,7 +866,7 @@ class TestForcedRoutes:
 
 
 def _zz(p):
-    return stdbasis._zz(stdbasis._to_internal(p))
+    return stdbasis._zz(p.prim)
 
 
 def test_gcd_of_products():
