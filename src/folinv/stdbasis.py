@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .ring import (
     _MASK,
@@ -138,6 +138,16 @@ def _staircase_bound(lms) -> "int | None":
 
 _NF_STEP_BUDGET = 20000
 _COEFF_BIT_LIMIT = 6000
+# The first time in a run of _std that a walk without a truncation degree
+# has a leading coefficient past _SWELL_BITS, the run asks whether its
+# generators share a factor through the origin.  Census of one `fallback`
+# pass of perfbench at seed 1, with the coefficient limit alone: of the 287
+# walks that succeed, 8 pass 256 bits (7 of them without a truncation
+# degree) and the largest reaches 3 190 bits; the 11 walks that give up,
+# none with a truncation degree, pass 256 bits within 9-30 % of their time
+# and reach _COEFF_BIT_LIMIT after 68-126 steps.  Answered no, the question
+# costs a modular certificate, well under a millisecond on such inputs.
+_SWELL_BITS = 256
 
 
 def _reducer(t: list) -> tuple:
@@ -154,6 +164,7 @@ def _mora_nf(
     basis: list,
     trunc: "int | None" = None,
     budget: "int | None" = None,
+    swelling: "Callable[[], bool] | None" = None,
     track: bool = False,
 ) -> "tuple[list | None, int | list | None]":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
@@ -170,13 +181,21 @@ def _mora_nf(
 
     ``budget`` caps the reduction steps of the walk.  Returns the normal form
     and what is left of the budget.  The walk gives up, and the form is None,
-    when the budget runs out or a coefficient outgrows any size a well-posed
-    computation here produces.  Two failures end up here.  Without a
-    truncation degree the walk length has no useful a-priori bound, and
-    ideals whose generators share a factor vanishing at the origin (so that
-    no truncation degree ever appears) may walk forever.  With one, the walk
-    is finite but iterated pseudo-reduction against adjoined reducers can
-    still compound integer coefficients exponentially.
+    when the budget runs out or a leading coefficient passes
+    _COEFF_BIT_LIMIT bits.  It gives up for one of two reasons:
+
+    * a shared factor: without a truncation degree the walk length has no
+      useful a-priori bound, and when the generators of the ideal share a
+      factor vanishing at the origin no truncation degree ever appears, so
+      the walk may run on and its coefficients swell without end;
+    * swell: the walk is finite, with a truncation degree or without a
+      shared factor, but iterated pseudo-reduction against adjoined reducers
+      compounds integer coefficients exponentially.
+
+    ``swelling`` tells the two apart early.  It is called, at most once, when
+    a leading coefficient first passes _SWELL_BITS; it returns True when the
+    generators share a factor through the origin, and the walk then gives up
+    at once instead of running on to _COEFF_BIT_LIMIT.
 
     ``track``, passed by :func:`mora_normal_form` alone and never with
     ``trunc`` or ``budget``, carries the vector [h, u, q_1, ..., q_n] with
@@ -201,8 +220,13 @@ def _mora_nf(
     while h:
         if budget is not None:
             budget -= 1
-            if budget < 0 or h[0][1].bit_length() > _COEFF_BIT_LIMIT:
+            bits = h[0][1].bit_length()
+            if budget < 0 or bits > _COEFF_BIT_LIMIT:
                 return None, budget
+            if bits > _SWELL_BITS and swelling is not None:
+                if swelling():
+                    return None, budget
+                swelling = None
         lmh = h[0][0]
         ah, bh = _decode(lmh)
         best_key = None
@@ -248,8 +272,11 @@ def _minimalize(lms_terms: list) -> list:
     return kept
 
 
-def _std(gens: list) -> "list | None":
-    """Tangent-cone standard basis of a list of term lists.
+_SWELL = "swell"
+
+
+def _std(gens) -> "tuple[list | None, tuple | str | None]":
+    """Tangent-cone standard basis of a sequence of term lists, and why it gave up.
 
     Normal strategy: s-pairs are processed by increasing total degree of the
     lcm of leading monomials, ties by creation order.  The tails are left as
@@ -281,8 +308,21 @@ def _std(gens: list) -> "list | None":
 
     The normal forms of a run share a budget of _NF_STEP_BUDGET steps per
     generator, so the cost of a run that gives up grows with its input and
-    not with the number of walks it makes.  When one normal form gives up
-    (see :func:`_mora_nf`), so does the run, returning None.
+    not with the number of walks it makes.  Returns (basis, None), or
+    (None, reason) when a normal form gives up (see :func:`_mora_nf`), for
+    one of two reasons:
+
+    * a shared factor: the generators share a factor through the origin, and
+      the reason is their split by :func:`_split_common_factor`;
+    * swell, the reason _SWELL: the ideal is zero-dimensional, shown by a
+      truncation degree or by the absence of a shared factor.
+
+    The run asks once whether its generators share a factor through the
+    origin: when a walk without a truncation degree first passes
+    _SWELL_BITS, or gives up before that.  A walk with a truncation degree
+    cannot give up for a shared factor, since m^N lies in the ideal.  The
+    question costs the certificate :func:`_coprime` when it is answered no,
+    and an exact gcd only when the certificate fails.
     """
     G = [list(g) for g in gens if g]
     reducers = [_reducer(g) for g in G]
@@ -291,6 +331,16 @@ def _std(gens: list) -> "list | None":
     budget = _NF_STEP_BUDGET * len(G)
     heap = []
     queued = {}  # the queued pairs that criterion B left: (i, j) -> L_ij
+    inputs = G[:]
+    split, asked = None, False
+
+    def shares_factor() -> bool:
+        nonlocal split, asked
+        if not asked:
+            asked = True
+            if not _coprime(inputs):
+                split = _split_common_factor(inputs)
+        return split is not None
 
     def install(j: int) -> None:
         aj, bj = exps[j]
@@ -333,16 +383,19 @@ def _std(gens: list) -> "list | None":
         s = _spoly(G[i], G[j], (deg << _SHIFT) | lcm[1])
         if not s:
             continue
-        r, budget = _mora_nf(s, reducers, trunc, budget)
+        swelling = None if asked or trunc is not None else shares_factor
+        r, budget = _mora_nf(s, reducers, trunc, budget, swelling)
         if r is None:
-            return None
+            if trunc is None and shares_factor():
+                return None, split
+            return None, _SWELL
         if r:
             G.append(r)
             reducers.append(_reducer(r))
             exps.append(reducers[-1][:2])
             trunc = _staircase_bound(exps)
             install(len(G) - 1)
-    return _minimalize(G)
+    return _minimalize(G), None
 
 
 # -- public types -----------------------------------------------------------
@@ -580,7 +633,7 @@ def _zgcd(p: dict, q: dict, v: int = 0) -> dict:
     return c
 
 
-def _split_common_factor(gens: tuple) -> "tuple[list, tuple] | None":
+def _split_common_factor(gens) -> "tuple[list, tuple] | None":
     """Factor term lists as g * cofactors, g their primitive gcd in Z[x, y].
 
     Returns None when g(0) != 0: the generators then share no curve through
@@ -590,12 +643,112 @@ def _split_common_factor(gens: tuple) -> "tuple[list, tuple] | None":
     g and v generate the same local ideal and have the same leading monomial.
     The cofactors are gens/g up to nonzero constants.  g and the cofactors
     are term lists.
+
+    The gcd starts from the shortest generator, and a further generator costs
+    a gcd only when the gcd so far does not divide it.  A partial gcd that
+    does not vanish at the origin ends the search, since so does every
+    divisor of it.
     """
     zs = [_zz(t) for t in gens]
-    g = reduce(_zgcd, zs)
+    order = sorted(range(len(zs)), key=lambda i: len(zs[i]))
+    g = zs[order[0]]
+    quotients = {}
+    for i in order[1:]:
+        if (0, 0) in g:
+            return None
+        q = _zquo(zs[i], g)
+        if q is None:
+            g = _zgcd(g, zs[i])
+            quotients = {}
+        else:
+            quotients[i] = q
     if (0, 0) in g:
         return None
-    return _from_zz(g), tuple(tuple(_from_zz(_zquo(h, g))) for h in zs)
+    return _from_zz(g), tuple(
+        tuple(_from_zz(quotients[i] if i in quotients else _zquo(h, g)))
+        for i, h in enumerate(zs)
+    )
+
+
+# -- a modular certificate of coprimality -----------------------------------
+#
+# Set y := r modulo a prime p.  A common factor h of the generators with
+# positive degree in x keeps that degree when the leading coefficient of h in
+# x does not vanish at r mod p, and it does not when that of one generator
+# does not, as h divides it (Gauss's lemma: a factor over Q is one over Z).
+# Then h(x, r) divides every specialisation in F_p[x], so a gcd of degree 0
+# there shows that no such h exists.  The same with x := r covers positive
+# degree in y, and a factor of degree 0 in both is a constant.
+
+_PRIME = (1 << 61) - 1
+# Residues far from the small integers at which the resultants of small
+# inputs tend to vanish, which would fail the certificate for nothing.
+_POINTS = (1_000_003, 7_654_321_987, 123_456_789_123_457)
+
+
+def _specialise(t, v: int, r: int) -> list:
+    """Coefficients mod _PRIME, lowest first, of t in the variable v (0: x,
+    1: y) with the other one set to r; no trailing zeros, [] for zero."""
+    out: list = []
+    powers = [1]
+    for code, c in t:
+        e, k = _decode(code)
+        if v:
+            e, k = k, e
+        while len(powers) <= k:
+            powers.append(powers[-1] * r % _PRIME)
+        if e >= len(out):
+            out.extend([0] * (e + 1 - len(out)))
+        out[e] = (out[e] + c * powers[k]) % _PRIME
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_mod_p(f: list, g: list) -> list:
+    """A gcd in F_p[t] of two coefficient lists as :func:`_specialise` gives."""
+    while g:
+        inv = pow(g[-1], -1, _PRIME)
+        dg = len(g) - 1
+        f = list(f)
+        while len(f) > dg:
+            c = f[-1] * inv % _PRIME
+            s = len(f) - 1 - dg
+            for i in range(dg):
+                f[s + i] = (f[s + i] - c * g[i]) % _PRIME
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def _coprime_in(gens, v: int) -> bool:
+    """True only if the term lists share no factor of positive degree in v."""
+    degs = [max(_decode(code)[v] for code, _ in t) for t in gens]
+    lead = min(range(len(gens)), key=degs.__getitem__)
+    for r in _POINTS:
+        g = _specialise(gens[lead], v, r)
+        if len(g) == degs[lead] + 1:
+            break
+    else:
+        return False
+    for i, t in enumerate(gens):
+        if len(g) == 1:
+            return True
+        if i != lead:
+            g = _gcd_mod_p(g, _specialise(t, v, r))
+    return len(g) == 1
+
+
+def _coprime(gens) -> bool:
+    """True only if the nonzero term lists share no nonconstant factor.
+
+    A certificate: False means only that it did not show coprimality, which
+    an exact gcd then decides.  It is never True for generators that share a
+    factor, whatever its value at the origin.
+    """
+    return _coprime_in(gens, 0) and _coprime_in(gens, 1)
 
 
 def _eliminate_row(row: dict, pivots: dict) -> None:
@@ -678,25 +831,63 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     return None
 
 
+def _degree(t) -> int:
+    return t[-1][0] >> _SHIFT
+
+
+def _colength_bound(gens) -> int:
+    """A bound c on dim O/I for the zero-dimensional ideal I of the term lists.
+
+    Take g, a generator of least degree, and h = sum of s^i * g_i over the
+    others, for s = 1, 2, ... until g and h share no factor through the
+    origin.  Then dim O/I <= dim O/(g, h) <= deg g * deg h (Bezout: a common
+    factor w with w(0) != 0 is a unit of the local ring and only lowers the
+    degrees).  A factor of g through the origin divides h for at most
+    len(gens) - 2 values of s unless it divides every generator, so one of
+    the first deg g * (len(gens) - 2) + 1 values serves.
+    """
+    rest = list(gens)
+    g = rest.pop(min(range(len(rest)), key=lambda i: _degree(rest[i])))
+    for s in range(1, _degree(g) * max(len(rest) - 1, 0) + 2):
+        h = []
+        for i, t in enumerate(rest):
+            h = _combine(h, 1, 0, t, s**i, 0)
+        if h and (_coprime((g, h)) or _split_common_factor((g, h)) is None):
+            return _degree(g) * _degree(h)
+    raise RuntimeError("the generators share a factor through the origin")
+
+
 def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
-    """Standard basis of the ideal of term-list generators: Mora, else a fallback."""
-    internal = _std(packed)
-    if internal is None:
-        split = _split_common_factor(packed)
-        if split is None:
-            # No common factor through the origin: the ideal is
-            # zero-dimensional in the local ring, so some degree cap will be
-            # accepted; doubling reaches it in O(log) attempts.  Elimination
-            # cost grows steeply with the cap, so start small.
-            cap = 4
-            while (internal := _capped_std(packed, cap)) is None:
-                cap *= 2
-        else:
-            # A standard basis of g*J is g times one of J: leading monomials
-            # multiply, so the leading ideals match on both sides.
-            g, cofactors = split
-            inner = _standard_basis_cached(cofactors).packed
-            internal = [_from_zz(_zsum((_zz(g), _zz(t)))) for t in inner]
+    """Standard basis of the ideal of term-list generators.
+
+    The one place where the route is chosen, from the reason a Mora run
+    gives up (see :func:`_std`):
+
+    * a shared factor: a standard basis of g*J is g times one of J, since
+      leading monomials multiply, so the cofactors J of the split go back to
+      the cache;
+    * swell: the ideal is zero-dimensional, so capped elimination accepts
+      every cap above its colength c, and m^c lies in it.  Doubling from a
+      small cap reaches one in O(log c) attempts, and elimination cost grows
+      steeply with the cap.  c is at most :func:`_colength_bound`, and a cap
+      past that bound that is not accepted is a RuntimeError, not a further
+      doubling.
+    """
+    internal, reason = _std(packed)
+    if internal is None and reason is _SWELL:
+        cap, bound = 4, None
+        while (internal := _capped_std(packed, cap)) is None:
+            if bound is None:
+                bound = _colength_bound(packed)
+            if cap > bound:
+                raise RuntimeError(
+                    f"capped elimination refused cap {cap}, above the colength bound {bound}"
+                )
+            cap = min(2 * cap, bound + 1)
+    elif internal is None:
+        g, cofactors = reason
+        inner = _standard_basis_cached(cofactors).packed
+        internal = [_from_zz(_zsum((_zz(g), _zz(t)))) for t in inner]
     return StandardBasis(tuple(map(tuple, internal)))
 
 
@@ -838,7 +1029,8 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     the staircase is finite, under a step budget otherwise.  When that walk
     gives up, the staircase of I is infinite, so f is not in I when I + (f)
     is zero-dimensional, that is when its generators share no factor through
-    the origin.  Otherwise f lies in I exactly when adjoining it leaves the
+    the origin: shown by the certificate :func:`_coprime`, or when that
+    fails by an exact gcd.  Otherwise f lies in I exactly when adjoining it leaves the
     leading ideal unchanged: I is inside I + (f), and ideals I inside J of
     the local ring with L(I) = L(J) are equal (Greuel-Pfister 1.6).
     """
@@ -856,6 +1048,7 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     )
     if r is not None:
         return not r
-    if _split_common_factor(_pack(ideal) + (f.prim,)) is None:
+    gens = _pack(ideal) + (f.prim,)
+    if _coprime(gens) or _split_common_factor(gens) is None:
         return False
     return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)

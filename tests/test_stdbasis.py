@@ -4,6 +4,7 @@ import importlib.abc
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -550,9 +551,9 @@ class TestColength:
             )
         ]
         monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 2)
-        assert stdbasis._std(gens) is None
+        assert stdbasis._std(gens)[0] is None
         monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 3)
-        assert stdbasis._std(gens) is not None
+        assert stdbasis._std(gens)[0] is not None
 
 
 class TestDegenerateIdeals:
@@ -865,6 +866,152 @@ class TestForcedRoutes:
         assert set(sys.modules) == loaded
 
 
+# the shared-factor ideal h*(a, b) of the membership measurements in CHANGES.md
+H_SWELL = 3 * X * Y - 2 * X**2 * Y - 2 * Y**4 - X**5
+A_SWELL = -2 * X - 3 * Y + X**2 * Y**2
+B_SWELL = X - 3 * Y + X * Y**2 + 3 * Y**3
+
+
+class TestRouteChoice:
+    """A Mora run on shared-factor generators stops at the first sign of swell
+    and takes the split; a run without a shared factor goes on, and if it
+    still gives up, capped elimination runs, with a bounded cap."""
+
+    def test_certificate_refuses_shared_factors(self):
+        rng = random.Random(1010)
+        hs = [rand_poly(rng) for _ in range(20)]
+        hs += [Y + 2 * Y**2 - Y**3, X - 3 * X**4, Y, X * Y, Y**2]
+        for h in hs:
+            assert h.multiplicity() >= 1
+            for n in (1, 2, 3):
+                gens = [(h * rand_poly(rng)).prim for _ in range(n)]
+                assert not stdbasis._coprime(gens), (h, gens)
+
+    def test_certificate_skips_a_vanishing_leading_coefficient(self):
+        # h = (y - r)x + y drops to the constant r at y = r, so the
+        # specialisations at r share nothing: r is not used, and the next
+        # point sees the factor.  When every point is a root of the leading
+        # coefficient, no point is used
+        a, b = Poly.one() + X + 2 * Y**2, X - Y + X * Y
+        first = Y - Poly.constant(stdbasis._POINTS[0])
+        every = Poly.one()
+        for r in stdbasis._POINTS:
+            every = every * (Y - Poly.constant(r))
+        for lc in (first, every):
+            h = lc * X + Y
+            assert not stdbasis._coprime_in([(h * a).prim, (h * b).prim], 0)
+
+    def test_certificate_agrees_with_the_exact_gcd(self):
+        rng = random.Random(2020)
+        accepted = 0
+        for _ in range(60):
+            gens = [rand_poly(rng) + Poly.constant(rng.choice([0, 0, 1])) for _ in range(2)]
+            g = stdbasis._zgcd(*(_zz(p) for p in gens))
+            if stdbasis._coprime([p.prim for p in gens]):
+                assert set(g) == {(0, 0)}, gens
+                accepted += 1
+            else:
+                assert set(g) != {(0, 0)}, gens
+        assert accepted >= 40
+        assert stdbasis._coprime([F_RUN.prim, G_RUN.prim])
+
+    def test_unit_common_factor_stays_on_mora(self, monkeypatch):
+        # 1 + x is a common factor that the certificate sees; the exact gcd
+        # finds it does not vanish at the origin, and the run goes on
+        asked = []
+        split = stdbasis._split_common_factor
+
+        def counted(gens):
+            out = split(gens)
+            asked.append(out)
+            return out
+
+        monkeypatch.setattr(stdbasis, "_split_common_factor", counted)
+        monkeypatch.setattr(stdbasis, "_SWELL_BITS", 0)
+        u = Poly.one() + X
+        gens = [(u * F_RUN).prim, (u * G_RUN).prim]
+        assert not stdbasis._coprime(gens)
+        basis, reason = stdbasis._std(gens)
+        assert asked == [None] and reason is None
+        assert stdbasis._dim(stdbasis.StandardBasis(tuple(map(tuple, basis)))) == 20
+
+    @pytest.mark.parametrize("k, parent_steps", [(2, 205), (8, 295), (32, 751)])
+    def test_swelling_run_ends_on_the_split(self, monkeypatch, k, parent_steps):
+        # the run on h*(a, b)*m^k took parent_steps reduction steps when
+        # it stopped at the coefficient limit; it now stops at the swell mark
+        steps = []
+        reduce_step = stdbasis._reduce_step
+
+        def counted(h, g):
+            out = reduce_step(h, g)
+            steps.append(max(h[0][1].bit_length(), out[0][1].bit_length() if out else 0))
+            return out
+
+        monkeypatch.setattr(stdbasis, "_reduce_step", counted)
+        gens = ideal_product(Ideal.of(H_SWELL * A_SWELL, H_SWELL * B_SWELL), maximal_ideal_power(k))
+        basis, reason = stdbasis._std([g.prim for g in gens.generators])
+        assert basis is None and reason is not stdbasis._SWELL
+        g, cofactors = reason
+        assert g == list(H_SWELL.prim) and len(cofactors) == 2 * (k + 1)
+        assert len(steps) < parent_steps
+        assert max(steps) < stdbasis._COEFF_BIT_LIMIT
+
+    def test_colength_bound_holds(self):
+        rng = random.Random(3030)
+        checked = 0
+        for _ in range(40):
+            gens = [rand_poly(rng) for _ in range(rng.randint(2, 3))]
+            c = colength(Ideal(tuple(gens)))
+            if c is INFINITE:
+                continue
+            bound = stdbasis._colength_bound(tuple(g.prim for g in gens))
+            assert c <= bound, gens
+            checked += 1
+        assert checked >= 15
+
+    def test_cap_doubling_is_bounded(self, monkeypatch):
+        # capped elimination accepts every cap above the colength; one that
+        # refuses a cap past the Bezout bound is wrong, and raises
+        caps = []
+
+        def refusing(gens, cap):
+            caps.append(cap)
+            assert len(caps) < 10, "unbounded cap doubling"
+            return None
+
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
+        monkeypatch.setattr(stdbasis, "_capped_std", refusing)
+        gens = (F_RUN, (Poly.one() + Y) * F_RUN, G_RUN)
+        bound = stdbasis._colength_bound(tuple(g.prim for g in gens))
+        assert bound == 4 * 8
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="colength bound"):
+                colength(Ideal(gens))
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+        assert caps == [4, 8, 16, 32, 33]
+
+    def test_certified_non_member_takes_no_exact_gcd(self, monkeypatch):
+        # the walk of contains gives up on I = h*(a, b), and the certificate
+        # shows I + (f) zero-dimensional, so f is not in I
+        h = -3 * Y - 2 * X * Y - X**3 * Y - X**5
+        a = -2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3
+        b = 3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y
+        ideal = Ideal.of(h * a, h * b)
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            standard_basis(ideal)
+
+            def refuse(*args):
+                raise AssertionError("exact gcd")
+
+            monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
+            assert contains(ideal, X**4 * Y**6) is False
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+
+
 def _zz(p):
     return stdbasis._zz(p.prim)
 
@@ -881,6 +1028,29 @@ def test_gcd_of_products():
         assert stdbasis._zsum((stdbasis._zquo(q, g), g)) == q
         # p is primitive, so 2*g does not divide it
         assert stdbasis._zquo(p, {m: 2 * c for m, c in g.items()}) is None
+
+
+def test_split_matches_the_gcd_of_all_generators():
+    # the split reads the generators shortest first and skips the gcd with
+    # a generator that the gcd so far divides; it gives the factor and the
+    # cofactors of the gcd of all generators, in the order given
+    rng = random.Random(515)
+    found = 0
+    for _ in range(60):
+        h = rand_poly(rng) + Poly.constant(rng.choice([0, 0, 0, 1]))
+        gens = [h * rand_poly(rng) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            gens.append(h * h)
+        zs = [_zz(p) for p in gens]
+        g = reduce(stdbasis._zgcd, zs)
+        split = stdbasis._split_common_factor(tuple(p.prim for p in gens))
+        if (0, 0) in g:
+            assert split is None
+            continue
+        found += 1
+        expect = stdbasis._from_zz(g)
+        assert split == (expect, tuple(tuple(stdbasis._from_zz(stdbasis._zquo(z, g))) for z in zs))
+    assert found >= 30
 
 
 class TestLeadingIdeal:
