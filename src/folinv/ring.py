@@ -39,16 +39,6 @@ def order_key(m: Monomial) -> tuple[int, int]:
     return (m[0] + m[1], m[1])
 
 
-def local_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Three-way local-order comparison: +1 when m1 > m2, -1 when m1 < m2."""
-    k1, k2 = order_key(m1), order_key(m2)
-    if k1 < k2:
-        return 1
-    if k1 > k2:
-        return -1
-    return 0
-
-
 def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (m1[0] + m2[0], m1[1] + m2[1])
 

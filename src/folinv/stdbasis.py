@@ -22,6 +22,7 @@ Fraction arithmetic runs inside a reduction loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -30,7 +31,6 @@ from math import gcd
 from typing import Callable, ClassVar
 
 from .ring import (
-    _MASK,
     _SHIFT,
     Monomial,
     Poly,
@@ -39,12 +39,6 @@ from .ring import (
     _encode,
     _strip,
 )
-
-
-def _code_divides(c1: int, c2: int) -> bool:
-    b1 = c1 & _MASK
-    b2 = c2 & _MASK
-    return b1 <= b2 and (c1 >> _SHIFT) - b1 <= (c2 >> _SHIFT) - b2
 
 
 def _to_poly(t) -> Poly:
@@ -95,45 +89,39 @@ def _truncate(t: list, bound: int) -> list:
     return [term for term in t if (term[0] >> _SHIFT) < bound]
 
 
-def _staircase(lms) -> "list | None":
-    """Column heights of the staircase of the monomial ideal of ``lms``.
+def _chain(lms) -> "tuple[list, int | None, int | None]":
+    """The staircase of the monomial ideal of the exponent pairs ``lms``.
 
-    ``lms`` holds exponent pairs (a, b).  Entry i is the number of monomials
-    x^i y^b outside the ideal, for i below the least pure power of x; None
-    when the staircase is infinite (no pure power of x or of y).
-    """
-    bound_x = bound_y = None
-    for a, b in lms:
-        if b == 0 and (bound_x is None or a < bound_x):
-            bound_x = a
-        if a == 0 and (bound_y is None or b < bound_y):
-            bound_y = b
-    if bound_x is None or bound_y is None:
-        return None
-    heights = []
-    for i in range(bound_x):
-        blocked = bound_y
-        for a, b in lms:
-            if a <= i and b < blocked:
-                blocked = b
-        heights.append(blocked)
-    return heights
+    Returns (chain, bound, colength).  ``chain`` holds the indices of the
+    minimal generators, one for each distinct minimal pair, sorted by
+    x-exponent; the x-exponents along it strictly increase and the
+    y-exponents strictly decrease.  When the chain starts on the y-axis and
+    ends on the x-axis, column a of the staircase has height b from a
+    generator (a, b) up to its right neighbour (a', b'), so the colength is
+    the sum of (a' - a) * b and the bound, the smallest N with m^N inside
+    the ideal, is the largest a' + b - 1 over neighbours (0 for the unit
+    ideal).  Both are None when the staircase is infinite.
 
-
-def _staircase_bound(lms) -> "int | None":
-    """Smallest N with m^N inside the monomial ideal of the exponent pairs ``lms``.
-
-    None when the staircase is infinite (no pure power of x or of y yet).
-    Once the partial basis reaches such an N, every monomial of degree >= N
+    Once a partial basis reaches such an N, every monomial of degree >= N
     weak-reduces to zero against it: a reduction step never lowers total
     degree under the local order, so the walk stays in the divisible region,
     and Mora division terminates -- hence m^N is contained in the ideal and
     terms beyond the staircase may be discarded everywhere.
     """
-    heights = _staircase(lms)
-    if heights is None:
-        return None
-    return max((i + h for i, h in enumerate(heights)), default=0)
+    chain = []
+    # By x-exponent, ties by y: a pair is minimal when its y-exponent is
+    # below that of every pair before it.
+    for i in sorted(range(len(lms)), key=lms.__getitem__):
+        if not chain or lms[i][1] < lms[chain[-1]][1]:
+            chain.append(i)
+    if not chain or lms[chain[0]][0] or lms[chain[-1]][1]:
+        return chain, None, None
+    bound = colength = 0
+    for i, j in zip(chain, chain[1:]):
+        (a, b), a2 = lms[i], lms[j][0]
+        bound = max(bound, a2 + b - 1)
+        colength += (a2 - a) * b
+    return chain, bound, colength
 
 
 _NF_STEP_BUDGET = 20000
@@ -198,10 +186,11 @@ def _mora_nf(
     at once instead of running on to _COEFF_BIT_LIMIT.
 
     ``track``, passed by :func:`mora_normal_form` alone and never with
-    ``trunc`` or ``budget``, carries the vector [h, u, q_1, ..., q_n] with
-    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis.  The walk
-    then returns [u, q_1, ..., q_n] in place of the budget, and a normal
-    form r, not normalized, with u*h_0 = sum(q_i * g_i) + r.
+    ``trunc``, carries the vector [h, u, q_1, ..., q_n] with
+    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis.  A walk
+    that does not give up then returns [u, q_1, ..., q_n] in place of the
+    budget, and a normal form r, not normalized, with
+    u*h_0 = sum(q_i * g_i) + r.
     """
     if trunc is not None:
         h = _truncate(h, trunc)
@@ -256,22 +245,6 @@ def _mora_nf(
     return h, vec[1:]
 
 
-def _minimalize(lms_terms: list) -> list:
-    """Keep only elements whose leading monomial is not a multiple of another's.
-
-    Input visited ascending by leading code: a divisor has smaller or equal
-    code, so a single pass against the kept list is enough.
-    """
-    kept = []
-    kept_lms = []
-    for t in sorted(lms_terms, key=lambda t: (t[0][0], len(t))):
-        lm = t[0][0]
-        if not any(_code_divides(k, lm) for k in kept_lms):
-            kept.append(t)
-            kept_lms.append(lm)
-    return kept
-
-
 _SWELL = "swell"
 
 
@@ -279,32 +252,39 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     """Tangent-cone standard basis of a sequence of term lists, and why it gave up.
 
     Normal strategy: s-pairs are processed by increasing total degree of the
-    lcm of leading monomials, ties by creation order.  The tails are left as
-    computed, since full tail reduction need not terminate under a local
-    order; the final basis is minimalized.
+    lcm of leading monomials, ties by the indices of the pair.  The tails are
+    left as computed, since full tail reduction need not terminate under a
+    local order.
 
-    Pairs are installed as in Gebauer-Moeller (1988), whose criteria hold for
-    local orders as well (Greuel-Pfister 1.7).  When element j joins, with
-    L_ij = lcm(LM_i, LM_j):
+    The run keeps its staircase as a chain, as :func:`_chain` returns it:
+    the indices of the elements with minimal leading exponents, sorted by
+    x-exponent.  In the plane the syzygies of the leading monomials of the
+    chain are generated by those of neighbours (Miller-Sturmfels, ch. 3).
+    So an element j makes, with L_ij = lcm(LM_i, LM_j):
 
-    * truncation: every term of the s-polynomial of (i, j) has degree at
-      least that of L_ij, so a pair with deg L_ij >= the staircase bound lies
-      in a power of the maximal ideal already known to be contained in the
-      ideal;
-    * criterion M: (i, j) is dropped when some L_lj properly divides L_ij;
-    * criterion F: of the new pairs with one lcm, one is kept.  Gebauer and
-      Moeller keep none when one of them has coprime leading monomials (the
-      product criterion); in the plane truncation drops such a pair first,
-      since x^a and y^b bound the staircase below degree a + b;
-    * criterion B: a queued (i, l) is dropped when LM_j divides L_il and
-      L_il differs from both L_ij and L_lj.
+    * when a chain element i divides it, a divisor pair (i, j), and j does
+      not join the chain;
+    * otherwise a divisor pair with each chain element whose leading
+      monomial it divides, which leaves the chain, and a neighbour pair with
+      each of its two neighbours once it has joined.
 
-    Each dropped pair has an s-polynomial that is a combination of the
-    s-polynomials of pairs that are kept, with smaller leading monomials, or
-    that lies in the truncation power; so it has a standard representation
-    once they have one.  The staircase bound only falls as the basis grows,
-    and the queue is ordered by lcm degree, so the first pair taken off it
-    at or beyond the bound ends the loop.
+    A neighbour pair is skipped when it leaves the queue if its elements
+    are no longer neighbours: the element l that came between them, or that
+    pushed one of them out, divides L_ij, so the syzygy of (i, j) is one of
+    (i, l) and (l, j).  The divisor syzygies reduce every syzygy of an
+    element outside the chain to the chain, and the neighbour syzygies
+    generate those of the chain, so by the standard-basis criterion
+    (Greuel-Pfister 1.7) the s-polynomials of these pairs suffice.  The
+    basis returned is the chain, in its order.
+
+    Truncation: every term of the s-polynomial of (i, j) has degree at least
+    that of L_ij, so a pair with deg L_ij >= the staircase bound lies in a
+    power of the maximal ideal already known to be contained in the ideal,
+    and is not queued.  That settles every pair with coprime leading
+    monomials, since x^a and y^b bound the staircase below degree a + b.
+    The staircase bound only falls as the basis grows, and the queue is
+    ordered by lcm degree, so the first pair taken off it at or beyond the
+    bound ends the loop.
 
     The normal forms of a run share a budget of _NF_STEP_BUDGET steps per
     generator, so the cost of a run that gives up grows with its input and
@@ -327,10 +307,10 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     G = [list(g) for g in gens if g]
     reducers = [_reducer(g) for g in G]
     exps = [r[:2] for r in reducers]
-    trunc = _staircase_bound(exps)
+    trunc = _chain(exps)[1]
     budget = _NF_STEP_BUDGET * len(G)
     heap = []
-    queued = {}  # the queued pairs that criterion B left: (i, j) -> L_ij
+    chain, xs = [], []  # the chain, and the x-exponents along it
     inputs = G[:]
     split, asked = None, False
 
@@ -342,45 +322,44 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
                 split = _split_common_factor(inputs)
         return split is not None
 
-    def install(j: int) -> None:
+    def pair(i: int, j: int, neighbours: bool) -> None:
+        """Queue the pair (i, j) unless truncation settles it."""
+        (ai, bi), (aj, bj) = exps[i], exps[j]
+        deg = max(ai, aj) + max(bi, bj)
+        if trunc is None or deg < trunc:
+            heappush(heap, (deg, i, j, neighbours))
+
+    def insert(j: int) -> None:
+        """Make the pairs of element j, and let it join the chain if it can."""
         aj, bj = exps[j]
-        doomed = []
-        for (i, l), (a, b) in queued.items():
-            if aj <= a and bj <= b:
-                ai, bi = exps[i]
-                al, bl = exps[l]
-                if (max(ai, aj) != a or max(bi, bj) != b) and (
-                    max(al, aj) != a or max(bl, bj) != b
-                ):
-                    doomed.append((i, l))
-        for pair in doomed:
-            del queued[pair]
-        new = []
-        for i, (ai, bi) in zip(range(j), exps):
-            a = ai if ai > aj else aj
-            b = bi if bi > bj else bj
-            if trunc is None or a + b < trunc:
-                new.append((a, b, i))
-        # By lcm; a pair is kept when its lcm is minimal (M) and it comes
-        # first with it (F).
-        new.sort()
-        least_b = None
-        for a, b, i in new:
-            if least_b is None or b < least_b:
-                least_b = b
-                heappush(heap, (a + b, i, j))
-                queued[(i, j)] = (a, b)
+        p = bisect_right(xs, aj)
+        if p and exps[chain[p - 1]][1] <= bj:
+            pair(chain[p - 1], j, False)
+            return
+        # j divides the chain elements from the first one with x-exponent aj
+        # on, as long as their y-exponents are at least bj.
+        q = end = bisect_left(xs, aj, 0, p)
+        while end < len(chain) and exps[chain[end]][1] >= bj:
+            pair(chain[end], j, False)
+            end += 1
+        chain[q:end] = [j]
+        xs[q:end] = [aj]
+        if q:
+            pair(chain[q - 1], j, True)
+        if q + 1 < len(chain):
+            pair(j, chain[q + 1], True)
 
     for j in range(len(G)):
-        install(j)
+        insert(j)
     while heap:
-        deg, i, j = heappop(heap)
+        deg, i, j, neighbours = heappop(heap)
         if trunc is not None and deg >= trunc:
             break
-        lcm = queued.pop((i, j), None)
-        if lcm is None:
-            continue
-        s = _spoly(G[i], G[j], (deg << _SHIFT) | lcm[1])
+        if neighbours:
+            p = bisect_left(xs, exps[i][0])
+            if chain[p : p + 2] != [i, j]:
+                continue
+        s = _spoly(G[i], G[j], (deg << _SHIFT) | max(exps[i][1], exps[j][1]))
         if not s:
             continue
         swelling = None if asked or trunc is not None else shares_factor
@@ -393,9 +372,9 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
             G.append(r)
             reducers.append(_reducer(r))
             exps.append(reducers[-1][:2])
-            trunc = _staircase_bound(exps)
-            install(len(G) - 1)
-    return _minimalize(G), None
+            trunc = _chain([exps[c] for c in chain] + [exps[-1]])[1]
+            insert(len(G) - 1)
+    return [G[c] for c in chain], None
 
 
 # -- public types -----------------------------------------------------------
@@ -483,8 +462,10 @@ class StandardBasis:
     """Standard basis of an ideal: monic elements, minimal set of leading monomials.
 
     ``packed`` holds the elements as the engine computed them, as term
-    lists; ``elements`` and ``leading_monomials`` are read off them on
-    first access.
+    lists, in chain order: the x-exponents of their leading monomials
+    strictly increase and the y-exponents strictly decrease (see
+    :func:`_chain`).  ``elements`` and ``leading_monomials`` are read off
+    them on first access, in the same order.
     """
 
     packed: tuple
@@ -516,7 +497,10 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     exactly and u(0) != 0.  Only that relation and u being a unit are
     promised: the triple is fixed only up to a common nonzero rational
     factor, and r is not normalized.  For 3*y^3 against [x^4 - y^3], both
-    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.
+    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.  That walk
+    keeps no truncation degree, since dropping terms would break the
+    relation, so it runs under the step budget and the coefficient limit of
+    every walk, and raises RuntimeError past either.
     """
     basis = list(basis)
     if any(g.is_zero for g in basis):
@@ -527,7 +511,13 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     if certificate:
         # The walk relates the primitive parts f.prim and g.prim; scale u
         # and each cofactor back by the contents.
-        r, (u, *qs) = _mora_nf(f.prim, reducers, track=True)
+        r, vec = _mora_nf(f.prim, reducers, budget=_NF_STEP_BUDGET, track=True)
+        if r is None:
+            raise RuntimeError(
+                f"the certificate walk gave up: more than {_NF_STEP_BUDGET} steps "
+                f"or a coefficient past {_COEFF_BIT_LIMIT} bits"
+            )
+        u, *qs = vec
         return (
             _to_poly(r),
             _to_poly(u).scale(1 / f.content),
@@ -535,11 +525,11 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
         )
     # Truncation is sound against ANY basis, standard or not: if the basis
     # leading monomials admit a staircase bound N, every monomial of degree
-    # >= N weak-reduces to zero (see _staircase_bound), so m^N lies in the
-    # generated ideal and terms of degree >= N may be dropped.  It also makes
-    # the walk finite-by-construction: each step strictly increases the
-    # leading code, which truncation bounds.
-    trunc = _staircase_bound([r[:2] for r in reducers])
+    # >= N weak-reduces to zero (see _chain), so m^N lies in the generated
+    # ideal and terms of degree >= N may be dropped.  It also makes the walk
+    # finite-by-construction: each step strictly increases the leading code,
+    # which truncation bounds.
+    trunc = _chain([r[:2] for r in reducers])[1]
     return _to_poly(_mora_nf(f.prim, reducers, trunc)[0])
 
 
@@ -824,10 +814,9 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     out = list(pivots.values())
     for i in range(cap + 1):
         out.append([(_encode((cap - i, i)), 1)])
-    basis = _minimalize(out)
-    n = _staircase_bound([_decode(t[0][0]) for t in basis])
+    chain, n, _ = _chain([_decode(t[0][0]) for t in out])
     if n is not None and n < cap:
-        return basis
+        return [out[i] for i in chain]
     return None
 
 
@@ -905,8 +894,8 @@ def _shift(t, code: int) -> tuple:
 
 def _dim(sb: StandardBasis) -> "int | _Infinite":
     """dim_Q O/I for a standard basis of I."""
-    heights = _staircase(sb.leading_monomials)
-    return INFINITE if heights is None else sum(heights)
+    c = _chain(sb.leading_monomials)[2]
+    return INFINITE if c is None else c
 
 
 _X, _Y = _encode((1, 0)), _encode((0, 1))
@@ -1003,6 +992,7 @@ def standard_basis(ideal: Ideal) -> StandardBasis:
 
 
 def leading_ideal(ideal: Ideal) -> tuple[Monomial, ...]:
+    """The minimal generators of the leading ideal, by increasing x-exponent."""
     return standard_basis(ideal).leading_monomials
 
 
@@ -1039,7 +1029,7 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     if f.is_zero:
         return True
     sb = standard_basis(ideal)
-    trunc = _staircase_bound(sb.leading_monomials)
+    trunc = _chain(sb.leading_monomials)[1]
     r, _ = _mora_nf(
         f.prim,
         [_reducer(t) for t in sb.packed],

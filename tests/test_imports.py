@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private top-level function or class is referenced in the package.
 
-``__init__.py`` is exempt: it imports names to re-export them.  A name
-counts as used when it appears as a name anywhere in the module, string
-annotations included.
+``__init__.py`` is exempt from the first check: it imports names to
+re-export them.  A name counts as used when it appears as a name anywhere
+in the module, string annotations included; a private name of another
+module also counts as used as an attribute (``stdbasis._std``).
 """
 
 import ast
@@ -12,9 +14,8 @@ import pytest
 
 import folinv
 
-MODULES = sorted(
-    p for p in Path(folinv.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(folinv.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _annotations(tree):
@@ -30,6 +31,16 @@ def _annotations(tree):
             yield node.annotation
 
 
+def _names(tree) -> set:
+    """The names a module reads, string annotations included."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        for const in ast.walk(ann) if ann is not None else ():
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                trees.append(ast.parse(const.value, mode="eval"))
+    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}
@@ -40,13 +51,25 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    trees = [tree]
-    for ann in _annotations(tree):
-        for const in ast.walk(ann) if ann is not None else ():
-            if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                trees.append(ast.parse(const.value, mode="eval"))
-    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    used = _names(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def unreferenced_private(sources: dict) -> list:
+    """(module, name) of each private top-level function or class that no
+    module of ``sources``, a dict from module name to source, refers to."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+        ]
+        used |= _names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(d for d in defined if d[1] not in used)
 
 
 def test_the_check_sees_an_unused_import():
@@ -63,3 +86,16 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef f(): return _used()\n",
+        "b": "import c\ndef g(x: '_Hinted'):\n    return c._remote(x)\n",
+        "c": "def _remote(x): pass\nclass _Hinted: pass\n",
+    }
+    assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private({p.stem: p.read_text() for p in PACKAGE}) == []

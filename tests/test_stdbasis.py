@@ -144,6 +144,21 @@ class TestNormalForm:
         assert len(cof) == len(basis)
         assert u * f == sum((c * g for c, g in zip(cof, basis)), Poly.zero()) + r
 
+    def test_certificate_walk_is_bounded(self, monkeypatch):
+        # the tracked walk keeps no truncation degree, and reduction against
+        # adjoined reducers compounds its coefficients: unbounded, this walk
+        # returned a 62-term u with numerators of 19 730 bits after 0.7 s.
+        # It stops at the coefficient limit, or at the step budget.
+        f = -X + 3 * Y**2 + 2 * Y**3
+        basis = [-2 * X - Y + X**2 + 2 * X * Y**2, 2 * Y + 3 * X**3 - 2 * X**2 * Y]
+        limits = f"{stdbasis._NF_STEP_BUDGET} steps .* {stdbasis._COEFF_BIT_LIMIT} bits"
+        with pytest.raises(RuntimeError, match=limits):
+            mora_normal_form(f, basis, certificate=True)
+        assert mora_normal_form(f, basis).is_zero  # (x, y) = m, truncated at 1
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 5)
+        with pytest.raises(RuntimeError, match="5 steps"):
+            mora_normal_form(f, basis, certificate=True)
+
 
 class TestStandardBasis:
     def test_already_standard(self):
@@ -202,7 +217,8 @@ class TestStandardBasis:
 
     def test_chain_criterion_saves_reductions(self, monkeypatch):
         # mu^12 of x^5 + y^7 + 2x^2y^3 took 34 normal forms with the product
-        # criterion alone and takes 13 with the chain criteria (B and M)
+        # criterion alone and takes 13 with the divisor and neighbour pairs
+        # of the chain
         calls = []
         nf = stdbasis._mora_nf
 
@@ -217,9 +233,11 @@ class TestStandardBasis:
         stdbasis._standard_basis_cached.cache_clear()
         assert 0 < len(calls) <= 20
 
-    def test_gebauer_moeller_queues_few_pairs(self, monkeypatch):
+    def test_chain_queues_few_pairs(self, monkeypatch):
         # the same sweep queued 326 pairs when every pair that truncation and
-        # the product criterion left entered the queue, and queues 26 now
+        # the product criterion left entered the queue; the pairs of the
+        # chain queue 26, and 13 of them are neighbouring shifts of one
+        # generator, whose s-polynomial is zero
         pushed = []
         push = stdbasis.heappush
 
@@ -234,13 +252,13 @@ class TestStandardBasis:
         stdbasis._standard_basis_cached.cache_clear()
         assert 0 < len(pushed) <= 40
 
-    def test_gebauer_moeller_criteria_save_work(self, monkeypatch):
-        # mu^k and tau^k ideals of the FAMILY germs, k <= 12: 2125 pairs
-        # queued and 1153 s-polynomials.  Without criterion F, 2682 pairs;
-        # without the truncation test when a pair is made, 2717; without
-        # criterion B, 1286 s-polynomials; without the truncation break,
-        # 1791.  (The product criterion never fires here: a coprime pair
-        # x^a, y^b has an lcm of degree a + b, beyond the staircase bound.)
+    def test_chain_pairs_save_work(self, monkeypatch):
+        # mu^k and tau^k ideals of the FAMILY germs, k <= 12: the chain
+        # queues 2191 pairs and makes 1141 s-polynomials, 200 of them zero.
+        # Without the truncation test when a pair is made, 2802 pairs;
+        # without the truncation break, 1791 s-polynomials.  (No pair with
+        # coprime leading monomials x^a, y^b is queued here: its lcm has
+        # degree a + b, beyond the staircase bound.)
         counts = {"queued": 0, "spoly": 0}
         push, spoly = stdbasis.heappush, stdbasis._spoly
 
@@ -284,6 +302,65 @@ class TestStandardBasis:
                 leading_ideal(ideal)
                 contains(ideal, X**7 * Y**7)
                 contains(ideal, X * Y)
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+
+
+def _assert_chain(basis):
+    """The leading exponents of the term lists strictly rise in x and fall in y."""
+    lms = [stdbasis._decode(t[0][0]) for t in basis]
+    assert lms, basis
+    for (a1, b1), (a2, b2) in zip(lms, lms[1:]):
+        assert a1 < a2 and b1 > b2, lms
+
+
+class TestChain:
+    def test_bound_and_colength_count_the_staircase(self):
+        # exponent sets with duplicates and repeated x-exponents, against a
+        # count of the monomials outside the ideal they generate
+        rng = random.Random(17)
+        finite = 0
+        for _ in range(400):
+            lms = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 6))]
+            lms += [(lms[0][0], rng.randint(0, 6))] + rng.choices(lms, k=rng.randint(0, 3))
+            if rng.random() < 0.8:
+                lms += [(rng.randint(0, 8), 0), (0, rng.randint(0, 8))]
+            rng.shuffle(lms)
+            chain, bound, length = stdbasis._chain(lms)
+            _assert_chain([[(stdbasis._encode(lms[i]), 1)] for i in chain])
+            for a, b in lms:
+                assert any(lms[i][0] <= a and lms[i][1] <= b for i in chain), lms
+            if not any(b == 0 for _, b in lms) or not any(a == 0 for a, _ in lms):
+                assert bound is None and length is None, lms
+                continue
+            finite += 1
+            outside = [
+                (a, b)
+                for a in range(9)
+                for b in range(9)
+                if not any(c <= a and d <= b for c, d in lms)
+            ]
+            assert length == len(outside), lms
+            assert bound == max((a + b + 1 for a, b in outside), default=0), lms
+        assert finite >= 250
+
+    def test_every_route_returns_a_chain(self):
+        # x^2y^3 arrives after x^2y^5, which has the same x-exponent and
+        # leaves the chain
+        gens = [(X**2 * Y**5).prim, (X**2 * Y**3 + Y**6).prim, (X**6).prim, (Y**7).prim]
+        basis, _ = stdbasis._std(gens)
+        _assert_chain(basis)
+        assert [stdbasis._decode(t[0][0]) for t in basis] == [(0, 7), (2, 3), (6, 0)]
+        for f in _sweep_germs()[:4]:
+            for n, ideal in enumerate(_sweep_ideals(f)):
+                packed = stdbasis._pack(ideal)
+                _assert_chain(stdbasis._std(packed)[0])
+                if n < 4:  # k <= 1, whose staircases lie below degree 24
+                    _assert_chain(stdbasis._capped_std(list(packed), 24))
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            _assert_chain(standard_basis(Ideal.of(X * F_RUN, X * G_RUN)).packed)
+            _assert_chain(stdbasis._capped_std([F_RUN.prim, G_RUN.prim], 16))
         finally:
             stdbasis._standard_basis_cached.cache_clear()
 
@@ -494,7 +571,8 @@ class TestColength:
     def test_no_spoly_from_coprime_leading_monomials(self, monkeypatch):
         # _std has no product criterion: in the plane truncation drops a pair
         # with coprime leading monomials x^a, y^b before it is queued, since
-        # they bound the staircase below degree a + b
+        # they bound the staircase below degree a + b.  These runs make 1152
+        # s-polynomials.
         count = 0
         spoly = stdbasis._spoly
 
