@@ -128,6 +128,16 @@ def _combine(t1, m1: int, s1: int, t2, m2: int, s2: int) -> list:
     return out
 
 
+def _product(t1, t2) -> tuple:
+    """t1 * t2 as a sorted term list."""
+    acc: dict[int, int] = {}
+    for c1, v1 in t1:
+        for c2, v2 in t2:
+            code = c1 + c2
+            acc[code] = acc.get(code, 0) + v1 * v2
+    return tuple((code, v) for code, v in sorted(acc.items()) if v)
+
+
 _ONE_DEGREE = 1 << _SHIFT
 
 
@@ -283,12 +293,7 @@ class Poly:
                 s = q[0][0]
                 prim = tuple((code + s, c) for code, c in p) if s else p
             else:
-                acc: dict[int, int] = {}
-                for c1, v1 in p:
-                    for c2, v2 in q:
-                        code = c1 + c2
-                        acc[code] = acc.get(code, 0) + v1 * v2
-                prim = tuple((code, v) for code, v in sorted(acc.items()) if v)
+                prim = _product(p, q)
             # Fraction products are slow, and most contents are 1
             c1, c2 = self.content, other.content
             return Poly._wrap(c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2, prim)

@@ -17,7 +17,9 @@ keeping it primitive with a positive leading coefficient loses nothing.  One
 walk, :func:`_mora_nf`, computes every normal form, for standard bases,
 membership and :func:`mora_normal_form` alike; asked for a certificate, it
 carries the cofactors of the relation along as term lists too, so no
-Fraction arithmetic runs inside a reduction loop.
+Fraction arithmetic runs inside a reduction loop.  The exact gcd that splits
+a common factor off the generators, :func:`_split_common_factor`, computes on
+term lists as well, so the engine has no second polynomial format.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from .ring import (
     Monomial,
     Poly,
     _combine,
+    _content,
     _decode,
     _encode,
+    _product,
     _strip,
 )
 
@@ -180,10 +184,8 @@ def _mora_nf(
       shared factor, but iterated pseudo-reduction against adjoined reducers
       compounds integer coefficients exponentially.
 
-    ``swelling`` tells the two apart early.  It is called, at most once, when
-    a leading coefficient first passes _SWELL_BITS; it returns True when the
-    generators share a factor through the origin, and the walk then gives up
-    at once instead of running on to _COEFF_BIT_LIMIT.
+    ``swelling`` is called, at most once, when a leading coefficient first
+    passes _SWELL_BITS: return True to give up now.
 
     ``track``, passed by :func:`mora_normal_form` alone and never with
     ``trunc``, carries the vector [h, u, q_1, ..., q_n] with
@@ -400,8 +402,6 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-Colength = "int | _Infinite"
-
 
 def is_finite(c) -> bool:
     return c is not INFINITE
@@ -535,91 +535,76 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
 
 # -- exact gcd in Z[x, y] ---------------------------------------------------
 #
-# Polynomials in this section are dicts (a, b) -> nonzero int.  Division is by
-# lex-leading terms, x before y.
+# Polynomials in this section are term lists, as everywhere in the engine.
+# Exact division goes by the last term of each list: the largest in the order
+# of codes, by degree and then by y-exponent.  Multiplying monomials adds
+# codes, so that order is a global monomial order, and division terminates.
 
 
-def _zz(t) -> dict:
-    """A term list as a dict."""
-    return {_decode(code): c for code, c in t}
-
-
-def _from_zz(p: dict) -> list:
-    """A dict as a term list: sorted, primitive, positive leading term."""
-    return _strip(sorted((_encode(m), c) for m, c in p.items()))
-
-
-def _zsum(*products) -> dict:
-    """The sum of p*q over the given pairs (p, q)."""
-    out: dict = {}
-    for p, q in products:
-        for (a1, b1), c1 in p.items():
-            for (a2, b2), c2 in q.items():
-                m = (a1 + a2, b1 + b2)
-                out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _zquo(p: dict, q: dict) -> "dict | None":
+def _quo(p, q) -> "list | None":
     """p / q when q divides p in Z[x, y], else None."""
-    lq = max(q)
-    out = {}
+    lq, cq = q[-1]
+    aq, bq = _decode(lq)
+    out = []
     while p:
-        lp = max(p)
-        m = (lp[0] - lq[0], lp[1] - lq[1])
-        c, r = divmod(p[lp], q[lq])
-        if m[0] < 0 or m[1] < 0 or r:
+        lp, cp = p[-1]
+        a, b = _decode(lp)
+        c, r = divmod(cp, cq)
+        if a < aq or b < bq or r:
             return None
-        out[m] = c
-        p = _zsum((p, {(0, 0): 1}), ({m: -c}, q))
+        out.append((lp - lq, c))
+        p = _combine(p, 1, 0, q, -c, lp - lq)
+    out.reverse()
     return out
 
 
-def _zlead(p: dict, v: int) -> "tuple[int, dict]":
-    """Degree of p in the variable v (0: x, 1: y) and its coefficient there."""
-    d = max(m[v] for m in p)
-    lc = {(0, m[1]) if v == 0 else (m[0], 0): c for m, c in p.items() if m[v] == d}
-    return d, lc
+def _lead(p, v: int) -> "tuple[int, list]":
+    """Degree of p in the variable v (0: x, 1: y) and its coefficient there,
+    a term list in the other variable."""
+    degs = [_decode(code)[v] for code, _ in p]
+    d = max(degs)
+    s = _encode((0, d) if v else (d, 0))
+    return d, [(code - s, c) for (code, c), e in zip(p, degs) if e == d]
 
 
-def _zprimitive(p: dict, v: int) -> "tuple[dict, dict]":
-    """(content, primitive part) of p in the variable v; the part has lc > 0.
+def _primitive(p, v: int) -> "tuple[list, list]":
+    """(content, primitive part) of p in the variable v, as term lists.
 
     For v = 1, p lies in Z[y] and its content is an integer.
     """
-    if v == 1:
-        cont = {(0, 0): gcd(*p.values())}
-    else:
-        coeffs: dict = {}
-        for (a, b), c in p.items():
-            coeffs.setdefault(a, {})[(0, b)] = c
-        cont = reduce(lambda s, t: _zgcd(s, t, 1), coeffs.values())
-    if (p[max(p)] < 0) != (cont[max(cont)] < 0):
-        cont = {m: -c for m, c in cont.items()}
-    return cont, _zquo(p, cont)
+    if v:
+        return [(0, _content(p))], _strip(p)
+    coeffs: dict = {}
+    for code, c in p:
+        a, b = _decode(code)
+        coeffs.setdefault(a, []).append((_encode((0, b)), c))
+    cont = reduce(lambda s, t: _gcd(s, t, 1), coeffs.values())
+    return cont, _quo(p, cont)
 
 
-def _zgcd(p: dict, q: dict, v: int = 0) -> dict:
-    """gcd of nonzero p, q in Z[x, y], with positive leading coefficient.
+def _gcd(p, q, v: int = 0) -> list:
+    """A gcd of nonzero p, q in Z[x, y], up to sign.
 
     A primitive pseudo-remainder sequence in x (v = 0) over Z[y].  The contents
     in x are gcds in Z[y], taken by the same sequence in y (v = 1) over Z.
     """
-    cp, p = _zprimitive(p, v)
-    cq, q = _zprimitive(q, v)
-    c = _zgcd(cp, cq, 1) if v == 0 else {(0, 0): gcd(cp[(0, 0)], cq[(0, 0)])}
-    if _zlead(p, v)[0] < _zlead(q, v)[0]:
+    cp, p = _primitive(p, v)
+    cq, q = _primitive(q, v)
+    c = _gcd(cp, cq, 1) if v == 0 else [(0, gcd(cp[0][1], cq[0][1]))]
+    if _lead(p, v)[0] < _lead(q, v)[0]:
         p, q = q, p
-    dq, lq = _zlead(q, v)
+    dq, lq = _lead(q, v)
     while dq > 0:
-        while p and _zlead(p, v)[0] >= dq:
-            dp, lp = _zlead(p, v)
-            shift = {(dp - dq, 0) if v == 0 else (0, dp - dq): -1}
-            p = _zsum((lq, p), (shift, _zsum((lp, q))))
+        while p:
+            dp, lp = _lead(p, v)
+            if dp < dq:
+                break
+            shift = _encode((0, dp - dq) if v else (dp - dq, 0))
+            p = _combine(_product(lq, p), 1, 0, _product(lp, q), -1, shift)
         if not p:
-            return _zsum((c, q))
-        p, q = q, _zprimitive(p, v)[1]
-        dq, lq = _zlead(q, v)
+            return _product(c, q)
+        p, q = q, _primitive(p, v)[1]
+        dq, lq = _lead(q, v)
     return c
 
 
@@ -639,24 +624,23 @@ def _split_common_factor(gens) -> "tuple[list, tuple] | None":
     does not vanish at the origin ends the search, since so does every
     divisor of it.
     """
-    zs = [_zz(t) for t in gens]
-    order = sorted(range(len(zs)), key=lambda i: len(zs[i]))
-    g = zs[order[0]]
+    order = sorted(range(len(gens)), key=lambda i: len(gens[i]))
+    g = gens[order[0]]
     quotients = {}
     for i in order[1:]:
-        if (0, 0) in g:
+        if g[0][0] == 0:
             return None
-        q = _zquo(zs[i], g)
+        q = _quo(gens[i], g)
         if q is None:
-            g = _zgcd(g, zs[i])
+            g = _gcd(g, gens[i])
             quotients = {}
         else:
             quotients[i] = q
-    if (0, 0) in g:
+    if g[0][0] == 0:
         return None
-    return _from_zz(g), tuple(
-        tuple(_from_zz(quotients[i] if i in quotients else _zquo(h, g)))
-        for i, h in enumerate(zs)
+    return list(_strip(g)), tuple(
+        tuple(_strip(quotients[i] if i in quotients else _quo(t, g)))
+        for i, t in enumerate(gens)
     )
 
 
@@ -876,7 +860,7 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
     elif internal is None:
         g, cofactors = reason
         inner = _standard_basis_cached(cofactors).packed
-        internal = [_from_zz(_zsum((_zz(g), _zz(t)))) for t in inner]
+        internal = [_product(g, t) for t in inner]
     return StandardBasis(tuple(map(tuple, internal)))
 
 
@@ -1016,13 +1000,15 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     """Membership of f in the ideal, inside the local ring.
 
     The normal form of f against the standard basis decides: truncated when
-    the staircase is finite, under a step budget otherwise.  When that walk
-    gives up, the staircase of I is infinite, so f is not in I when I + (f)
+    the staircase is finite, under a step budget otherwise.  Without
+    truncation the staircase of I is infinite, so f is not in I when I + (f)
     is zero-dimensional, that is when its generators share no factor through
-    the origin: shown by the certificate :func:`_coprime`, or when that
-    fails by an exact gcd.  Otherwise f lies in I exactly when adjoining it leaves the
-    leading ideal unchanged: I is inside I + (f), and ideals I inside J of
-    the local ring with L(I) = L(J) are equal (Greuel-Pfister 1.6).
+    the origin.  The walk asks the certificate :func:`_coprime` for that when
+    its coefficients first swell, and gives up when it answers yes.  When
+    the walk gives up, an exact gcd settles a failed certificate.  Otherwise
+    f lies in I exactly when adjoining it leaves the leading ideal unchanged:
+    I is inside I + (f), and ideals I inside J of the local ring with
+    L(I) = L(J) are equal (Greuel-Pfister 1.6).
     """
     if ideal.is_zero:
         return f.is_zero
@@ -1030,15 +1016,18 @@ def contains(ideal: Ideal, f: Poly) -> bool:
         return True
     sb = standard_basis(ideal)
     trunc = _chain(sb.leading_monomials)[1]
+    gens = _pack(ideal) + (f.prim,)
+    # asked at most once: by the walk when it swells, or after it gives up
+    certified = lru_cache(maxsize=None)(lambda: _coprime(gens))
     r, _ = _mora_nf(
         f.prim,
         [_reducer(t) for t in sb.packed],
         trunc,
         _NF_STEP_BUDGET if trunc is None else None,
+        certified if trunc is None else None,
     )
     if r is not None:
         return not r
-    gens = _pack(ideal) + (f.prim,)
-    if _coprime(gens) or _split_common_factor(gens) is None:
+    if certified() or _split_common_factor(gens) is None:
         return False
     return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)

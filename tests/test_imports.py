@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every private top-level function or class is referenced in the package.
+every private top-level function, class or assigned name is referenced in
+the package.
 
 ``__init__.py`` is exempt from the first check: it imports names to
 re-export them.  A name counts as used when it appears as a name anywhere
@@ -38,7 +39,25 @@ def _names(tree) -> set:
         for const in ast.walk(ann) if ann is not None else ():
             if isinstance(const, ast.Constant) and isinstance(const.value, str):
                 trees.append(ast.parse(const.value, mode="eval"))
-    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {
+        n.id
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+
+
+def _private_definitions(tree) -> list:
+    """The private names a module defines at top level: functions, classes
+    and assignments, dunder names such as ``__all__`` left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
 
 
 def unused_imports(source: str) -> list:
@@ -56,17 +75,13 @@ def unused_imports(source: str) -> list:
 
 
 def unreferenced_private(sources: dict) -> list:
-    """(module, name) of each private top-level function or class that no
-    module of ``sources``, a dict from module name to source, refers to."""
+    """(module, name) of each private top-level function, class or assigned
+    name that no module of ``sources``, a dict from module name to source,
+    refers to."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [
-            (module, node.name)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_")
-        ]
+        defined += [(module, name) for name in _private_definitions(tree)]
         used |= _names(tree)
         used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted(d for d in defined if d[1] not in used)
@@ -90,11 +105,12 @@ def test_no_unused_imports(path):
 
 def test_the_check_sees_an_unreferenced_private_name():
     sources = {
-        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef f(): return _used()\n",
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef f(): return _used()\n"
+        "_DEAD = 1\n",
         "b": "import c\ndef g(x: '_Hinted'):\n    return c._remote(x)\n",
         "c": "def _remote(x): pass\nclass _Hinted: pass\n",
     }
-    assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
+    assert unreferenced_private(sources) == [("a", "_DEAD"), ("a", "_Gone"), ("a", "_dead")]
 
 
 def test_no_unreferenced_private_names():

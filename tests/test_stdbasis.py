@@ -8,7 +8,7 @@ from functools import reduce
 
 import pytest
 
-from folinv.ring import Poly, X, Y, multiplicity
+from folinv.ring import Poly, X, Y, _product, _strip, multiplicity
 from folinv import stdbasis
 from folinv.invariants import (
     Foliation,
@@ -40,6 +40,14 @@ from oracle import PRIMES, oracle_colength, quotient_dim_modp, rand_poly
 
 F_RUN = X**4 - Y**3
 G_RUN = Y**5 - X**7 + X**4 * Y**4
+
+# I = h*(a, b) has an infinite staircase, while h and x^4 y^6 share no factor
+# through the origin: I + (x^4 y^6) is zero-dimensional, so x^4 y^6 is not in I
+H_APART = -3 * Y - 2 * X * Y - X**3 * Y - X**5
+NON_MEMBER_IDEAL = Ideal.of(
+    H_APART * (-2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3),
+    H_APART * (3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y),
+)
 
 
 class TestNormalForm:
@@ -756,10 +764,7 @@ class TestDegenerateIdeals:
             raise AssertionError("capped elimination")
 
         monkeypatch.setattr(stdbasis, "_capped_std", refuse)
-        h = -3 * Y - 2 * X * Y - X**3 * Y - X**5
-        a = -2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3
-        b = 3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y
-        assert contains(Ideal.of(h * a, h * b), X**4 * Y**6) is False
+        assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
 
     def test_membership_localized_unit(self):
         # x = (1-x)^{-1} * (x - x^2) in the local ring
@@ -984,12 +989,12 @@ class TestRouteChoice:
         accepted = 0
         for _ in range(60):
             gens = [rand_poly(rng) + Poly.constant(rng.choice([0, 0, 1])) for _ in range(2)]
-            g = stdbasis._zgcd(*(_zz(p) for p in gens))
+            g = stdbasis._gcd(*(p.prim for p in gens))
             if stdbasis._coprime([p.prim for p in gens]):
-                assert set(g) == {(0, 0)}, gens
+                assert [code for code, _ in g] == [0], gens
                 accepted += 1
             else:
-                assert set(g) != {(0, 0)}, gens
+                assert [code for code, _ in g] != [0], gens
         assert accepted >= 40
         assert stdbasis._coprime([F_RUN.prim, G_RUN.prim])
 
@@ -1073,39 +1078,56 @@ class TestRouteChoice:
     def test_certified_non_member_takes_no_exact_gcd(self, monkeypatch):
         # the walk of contains gives up on I = h*(a, b), and the certificate
         # shows I + (f) zero-dimensional, so f is not in I
-        h = -3 * Y - 2 * X * Y - X**3 * Y - X**5
-        a = -2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3
-        b = 3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y
-        ideal = Ideal.of(h * a, h * b)
         stdbasis._standard_basis_cached.cache_clear()
         try:
-            standard_basis(ideal)
+            standard_basis(NON_MEMBER_IDEAL)
 
             def refuse(*args):
                 raise AssertionError("exact gcd")
 
             monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
-            assert contains(ideal, X**4 * Y**6) is False
+            assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
         finally:
             stdbasis._standard_basis_cached.cache_clear()
 
+    def test_certified_non_member_walk_ends_at_the_swell_mark(self, monkeypatch):
+        # the walk of contains asks the certificate when its coefficients
+        # first swell, and gives up then; it used to walk on to the limit
+        steps = []
+        reduce_step = stdbasis._reduce_step
 
-def _zz(p):
-    return stdbasis._zz(p.prim)
+        def counted(h, g):
+            out = reduce_step(h, g)
+            steps.append(max(h[0][1].bit_length(), out[0][1].bit_length() if out else 0))
+            return out
+
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            standard_basis(NON_MEMBER_IDEAL)
+            monkeypatch.setattr(stdbasis, "_reduce_step", counted)
+            assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+        assert steps and max(steps) < stdbasis._COEFF_BIT_LIMIT
 
 
 def test_gcd_of_products():
     rng = random.Random(99)
+    cases = []
     for _ in range(60):
         h = rand_poly(rng) + Poly.constant(rng.choice([0, 0, 1, -2]))
         a, b = rand_poly(rng), rand_poly(rng) + Poly.constant(rng.choice([0, 3]))
-        p, q = _zz(h * a), _zz(h * b)
-        g = stdbasis._zgcd(p, q)
-        assert stdbasis._zquo(g, _zz(h)) is not None
-        assert stdbasis._zsum((stdbasis._zquo(p, g), g)) == p
-        assert stdbasis._zsum((stdbasis._zquo(q, g), g)) == q
+        cases.append((h, a, b))
+    # a shared factor whose content in x, y*(1 + 2y), lies in Z[y]
+    cases.append((Y * (Poly.one() + 2 * Y) * (X - Y), X + Y**2, Poly.one() + X * Y))
+    for h, a, b in cases:
+        p, q = (h * a).prim, (h * b).prim
+        g = stdbasis._gcd(p, q)
+        assert stdbasis._quo(g, h.prim) is not None
+        assert _product(stdbasis._quo(p, g), g) == p
+        assert _product(stdbasis._quo(q, g), g) == q
         # p is primitive, so 2*g does not divide it
-        assert stdbasis._zquo(p, {m: 2 * c for m, c in g.items()}) is None
+        assert stdbasis._quo(p, [(code, 2 * c) for code, c in g]) is None
 
 
 def test_split_matches_the_gcd_of_all_generators():
@@ -1119,15 +1141,15 @@ def test_split_matches_the_gcd_of_all_generators():
         gens = [h * rand_poly(rng) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
             gens.append(h * h)
-        zs = [_zz(p) for p in gens]
-        g = reduce(stdbasis._zgcd, zs)
-        split = stdbasis._split_common_factor(tuple(p.prim for p in gens))
-        if (0, 0) in g:
+        prims = [p.prim for p in gens]
+        g = reduce(stdbasis._gcd, prims)
+        split = stdbasis._split_common_factor(tuple(prims))
+        if g[0][0] == 0:
             assert split is None
             continue
         found += 1
-        expect = stdbasis._from_zz(g)
-        assert split == (expect, tuple(tuple(stdbasis._from_zz(stdbasis._zquo(z, g))) for z in zs))
+        expect = list(_strip(g))
+        assert split == (expect, tuple(tuple(_strip(stdbasis._quo(t, g))) for t in prims))
     assert found >= 30
 
 
