@@ -4,9 +4,10 @@ Grammar of polynomial expressions: variables ``x`` and ``y``; integer and
 rational literals (``3``, ``2/5``); operators ``+ - * ^`` with explicit ``*``
 (no implicit multiplication) and ``^`` restricted to nonnegative integer
 exponents up to 10^6; parentheses; insignificant whitespace.  Syntax errors
-carry the byte offset and the set of expected tokens.  A product or power of
-polynomials with more than one term is refused before it is computed when a
-bound on its size, terms times coefficient bits, exceeds 10^6.
+carry the byte offset and the set of expected tokens.  A product or power is
+refused before it is computed when a bound on its size, terms times
+coefficient bits, exceeds 10^6; for a single term that is the bits of its
+coefficient, so ``2^1000000`` is refused.
 
 Orders (``--k``, ``--mk``, ``--k-max``) and ``--samples`` are at most 100.
 
@@ -175,6 +176,14 @@ def _shape(p: Poly) -> tuple:
     return len(p.prim), max(a), max(b), log2(norm) + log2(den)
 
 
+def _grows(p: Poly) -> bool:
+    """Whether a product with p can be larger than its other factor, so needs
+    :func:`_check_size`: not when p is zero (content 0) or a monomial with
+    coefficient +-1.  For any other single term the size bound is the bits
+    of its coefficient."""
+    return len(p.prim) > 1 or p.content not in (0, 1, -1)
+
+
 def _check_size(op: _Token, factors: list) -> None:
     """Refuse a product of factors, given as (:func:`_shape`, exponent) pairs,
     when a bound on its terms times its coefficient bits exceeds the budget.
@@ -232,7 +241,7 @@ class _Parser:
         while self._peek().kind == "STAR":
             op = self._advance()
             rhs = self._unary()
-            if len(node.prim) > 1 and len(rhs.prim) > 1:
+            if _grows(node) and _grows(rhs):
                 _check_size(op, [(_shape(node), 1), (_shape(rhs), 1)])
             node = node * rhs
         return node
@@ -262,7 +271,7 @@ class _Parser:
                     {"integer exponent <= 10^6"},
                 )
             self._advance()
-            if len(node.prim) > 1:
+            if _grows(node):
                 _check_size(op, [(_shape(node), exponent)])
             return node**exponent
         return node

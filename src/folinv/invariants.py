@@ -52,14 +52,9 @@ def _natural(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class CurveGerm:
-    """The germ of a curve C = {f = 0} through the origin.
-
-    ``reduced_certified`` records that tau(f) was found finite, which
-    certifies f reduced; operations that need reducedness certify lazily.
-    """
+    """The germ of a curve C = {f = 0} through the origin."""
 
     f: Poly
-    reduced_certified: bool = False
 
     def __post_init__(self):
         if self.f.is_zero:
@@ -219,8 +214,6 @@ def is_invariant(F: Foliation, C: CurveGerm) -> bool:
 
 
 def _require_reduced(C: CurveGerm) -> None:
-    if C.reduced_certified:
-        return
     if not is_finite(tjurina_k(C.f, 0)):
         raise PreconditionError("the curve is not reduced")
 
@@ -275,10 +268,10 @@ def polar_intersection_k(
         raise PreconditionError("the curve is not invariant by the foliation")
     rng = random.Random(seed)
     nu = F.multiplicity
-    directions: list[tuple[int, int]] = []
+    polars: list[Poly] = []
     seen = set()
     attempts = 0
-    while len(directions) < samples and attempts < 500 * samples:
+    while len(polars) < samples and attempts < 500 * samples:
         attempts += 1
         a = rng.randint(-20, 20)
         b = rng.randint(-20, 20)
@@ -294,10 +287,10 @@ def polar_intersection_k(
         p = a * F.P + b * F.Q
         if p.is_zero or p.multiplicity() != nu:
             continue
-        directions.append((a, b))
-    if len(directions) < samples:
+        polars.append(p)
+    if len(polars) < samples:
         raise PreconditionError("polar degenerate against the curve")
-    values = [colength(Ideal.of(a * F.P + b * F.Q, C.f), k) for a, b in directions]
+    values = [colength(Ideal.of(p, C.f), k) for p in polars]
     finite = [v for v in values if is_finite(v)]
     if not finite:
         raise PreconditionError("polar degenerate against the curve")

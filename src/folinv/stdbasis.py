@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
 from typing import Callable, ClassVar
@@ -314,15 +314,18 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     heap = []
     chain, xs = [], []  # the chain, and the x-exponents along it
     inputs = G[:]
-    split, asked = None, False
+    answer = []  # the split below, once asked
 
-    def shares_factor() -> bool:
-        nonlocal split, asked
-        if not asked:
-            asked = True
-            if not _coprime(inputs):
-                split = _split_common_factor(inputs)
-        return split is not None
+    def split() -> "tuple | None":
+        """The split of the inputs by a shared factor, asked at most once.
+
+        Kept in a list, not behind functools.cache: most runs never ask, and
+        making a cache wrapper in every run put about 6 % on the median op of
+        perfbench's `fallback` workload.
+        """
+        if not answer:
+            answer.append(None if _coprime(inputs) else _split_common_factor(inputs))
+        return answer[0]
 
     def pair(i: int, j: int, neighbours: bool) -> None:
         """Queue the pair (i, j) unless truncation settles it."""
@@ -364,12 +367,11 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
         s = _spoly(G[i], G[j], (deg << _SHIFT) | max(exps[i][1], exps[j][1]))
         if not s:
             continue
-        swelling = None if asked or trunc is not None else shares_factor
+        swelling = None if trunc is not None else lambda: split() is not None
         r, budget = _mora_nf(s, reducers, trunc, budget, swelling)
         if r is None:
-            if trunc is None and shares_factor():
-                return None, split
-            return None, _SWELL
+            parts = split() if trunc is None else None
+            return None, _SWELL if parts is None else parts
         if r:
             G.append(r)
             reducers.append(_reducer(r))
@@ -465,7 +467,8 @@ class StandardBasis:
     lists, in chain order: the x-exponents of their leading monomials
     strictly increase and the y-exponents strictly decrease (see
     :func:`_chain`).  ``elements`` and ``leading_monomials`` are read off
-    them on first access, in the same order.
+    them on first access, in the same order, and so is ``_staircase``, the
+    (bound, colength) of :func:`_chain`.
     """
 
     packed: tuple
@@ -478,6 +481,10 @@ class StandardBasis:
     @cached_property
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(_decode(t[0][0]) for t in self.packed)
+
+    @cached_property
+    def _staircase(self) -> "tuple[int | None, int | None]":
+        return _chain(self.leading_monomials)[1:]
 
 
 # -- public operations ------------------------------------------------------
@@ -804,30 +811,21 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     return None
 
 
-def _degree(t) -> int:
-    return t[-1][0] >> _SHIFT
-
-
 def _colength_bound(gens) -> int:
-    """A bound c on dim O/I for the zero-dimensional ideal I of the term lists.
+    """A bound on dim O/I for the zero-dimensional ideal I of the term lists.
 
-    Take g, a generator of least degree, and h = sum of s^i * g_i over the
-    others, for s = 1, 2, ... until g and h share no factor through the
-    origin.  Then dim O/I <= dim O/(g, h) <= deg g * deg h (Bezout: a common
-    factor w with w(0) != 0 is a unit of the local ring and only lowers the
-    degrees).  A factor of g through the origin divides h for at most
-    len(gens) - 2 values of s unless it divides every generator, so one of
-    the first deg g * (len(gens) - 2) + 1 values serves.
+    Take g, a generator of least degree d, and h = sum of s^i * g_i over the
+    others.  A factor of g through the origin divides h for at most
+    len(gens) - 2 values of s unless it divides every generator, which a
+    zero-dimensional I rules out; so for some s, g and h share no factor
+    through the origin.  Then dim O/I <= dim O/(g, h) <= deg g * deg h
+    (Bezout: a common factor w with w(0) != 0 is a unit of the local ring
+    and only lowers the degrees), and deg h is at most the largest degree D
+    of a generator: the bound is d * D.  The degree of a term list is that
+    of its last term.
     """
-    rest = list(gens)
-    g = rest.pop(min(range(len(rest)), key=lambda i: _degree(rest[i])))
-    for s in range(1, _degree(g) * max(len(rest) - 1, 0) + 2):
-        h = []
-        for i, t in enumerate(rest):
-            h = _combine(h, 1, 0, t, s**i, 0)
-        if h and (_coprime((g, h)) or _split_common_factor((g, h)) is None):
-            return _degree(g) * _degree(h)
-    raise RuntimeError("the generators share a factor through the origin")
+    degrees = [t[-1][0] >> _SHIFT for t in gens]
+    return min(degrees) * max(degrees)
 
 
 def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
@@ -848,10 +846,8 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
     """
     internal, reason = _std(packed)
     if internal is None and reason is _SWELL:
-        cap, bound = 4, None
+        cap, bound = 4, _colength_bound(packed)
         while (internal := _capped_std(packed, cap)) is None:
-            if bound is None:
-                bound = _colength_bound(packed)
             if cap > bound:
                 raise RuntimeError(
                     f"capped elimination refused cap {cap}, above the colength bound {bound}"
@@ -878,7 +874,7 @@ def _shift(t, code: int) -> tuple:
 
 def _dim(sb: StandardBasis) -> "int | _Infinite":
     """dim_Q O/I for a standard basis of I."""
-    c = _chain(sb.leading_monomials)[2]
+    c = sb._staircase[1]
     return INFINITE if c is None else c
 
 
@@ -1015,10 +1011,10 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     if f.is_zero:
         return True
     sb = standard_basis(ideal)
-    trunc = _chain(sb.leading_monomials)[1]
+    trunc = sb._staircase[0]
     gens = _pack(ideal) + (f.prim,)
     # asked at most once: by the walk when it swells, or after it gives up
-    certified = lru_cache(maxsize=None)(lambda: _coprime(gens))
+    certified = cache(lambda: _coprime(gens))
     r, _ = _mora_nf(
         f.prim,
         [_reducer(t) for t in sb.packed],

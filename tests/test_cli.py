@@ -355,6 +355,10 @@ class TestInputLimits:
         code, _, err = run_cli(capsys, "milnor", "(x+y)^100000+y^7")
         assert code == 2
         assert err.startswith("error: '^' at byte offset 5") and "limit is 1000000" in err
+        # one-term factors share the budget: their size is their coefficient
+        code, _, err = run_cli(capsys, "milnor", "*".join(["2^1000000"] * 400))
+        assert code == 2
+        assert err.startswith("error: '^' at byte offset 1") and "1000001 bits" in err
         assert time.perf_counter() - start < 1
 
     def test_single_terms_keep_the_exponent_cap(self):

@@ -7,9 +7,12 @@ case count.  All randomness is seeded: reruns are bit-identical.
 
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
-from folinv import stdbasis
+import pytest
+
+from folinv import invariants, stdbasis
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import (
     Ideal,
@@ -521,3 +524,41 @@ def test_ratio_theorem():
 def test_gsv_branch_consistency():
     cases, failures = run_gsv_branch_consistency_suite()
     assert cases >= 200 and failures == 0
+
+
+# Routes taken by test_suites_without_mora, per suite.
+_FALLBACK_ROUTES: dict = {}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_without_mora(monkeypatch, name):
+    # With no Mora steps every walk gives up at once, so each standard basis
+    # comes from capped elimination or from the common-factor split; the
+    # suites must hold all the same.
+    routes = Counter()
+    capped_std, split_common_factor = stdbasis._capped_std, stdbasis._split_common_factor
+
+    def capped(gens, cap):
+        routes["capped"] += 1
+        return capped_std(gens, cap)
+
+    def split(gens):
+        out = split_common_factor(gens)
+        routes["split"] += out is not None
+        return out
+
+    monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
+    monkeypatch.setattr(stdbasis, "_capped_std", capped)
+    monkeypatch.setattr(stdbasis, "_split_common_factor", split)
+    stdbasis._standard_basis_cached.cache_clear()
+    invariants.is_invariant.cache_clear()
+    try:
+        cases, failures = SUITES[name](target=10)
+    finally:
+        stdbasis._standard_basis_cached.cache_clear()
+        invariants.is_invariant.cache_clear()
+    assert cases >= 10 and failures == 0
+    _FALLBACK_ROUTES[name] = routes
+    if len(_FALLBACK_ROUTES) == len(SUITES):
+        total = sum(_FALLBACK_ROUTES.values(), Counter())
+        assert total["capped"] and total["split"], total
