@@ -139,6 +139,13 @@ def _tokenize(text: str) -> list:
                             "denominator is zero", _byte_offset(j + 1)
                         )
                     j = k
+                    if tokens and tokens[-1][0] == "CARET":
+                        # x^4/2 is not x^2
+                        raise ParseError(
+                            "exponent must be a nonnegative integer",
+                            off,
+                            {"integer exponent"},
+                        )
                 else:
                     raise ParseError(
                         "'/' must be followed by digits",

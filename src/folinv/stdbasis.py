@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
 from typing import Callable, ClassVar
@@ -504,10 +504,14 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     exactly and u(0) != 0.  Only that relation and u being a unit are
     promised: the triple is fixed only up to a common nonzero rational
     factor, and r is not normalized.  For 3*y^3 against [x^4 - y^3], both
-    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.  That walk
-    keeps no truncation degree, since dropping terms would break the
-    relation, so it runs under the step budget and the coefficient limit of
-    every walk, and raises RuntimeError past either.
+    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.
+
+    When the leading monomials of the basis, standard or not, have a
+    staircase bound N, m^N lies in the ideal (see :func:`_chain`), so the
+    walk drops terms of degree >= N and is finite.  Without such N, or with
+    a certificate, whose relation dropped terms would break, it runs under
+    the step budget and coefficient limit of every walk, and raises
+    RuntimeError past either.
     """
     basis = list(basis)
     if any(g.is_zero for g in basis):
@@ -515,29 +519,24 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     if f.is_zero:
         return (f, Poly.one(), [f] * len(basis)) if certificate else f
     reducers = [_reducer(g.prim) for g in basis]
-    if certificate:
-        # The walk relates the primitive parts f.prim and g.prim; scale u
-        # and each cofactor back by the contents.
-        r, vec = _mora_nf(f.prim, reducers, budget=_NF_STEP_BUDGET, track=True)
-        if r is None:
-            raise RuntimeError(
-                f"the certificate walk gave up: more than {_NF_STEP_BUDGET} steps "
-                f"or a coefficient past {_COEFF_BIT_LIMIT} bits"
-            )
-        u, *qs = vec
-        return (
-            _to_poly(r),
-            _to_poly(u).scale(1 / f.content),
-            [_to_poly(q).scale(1 / g.content) for q, g in zip(qs, basis)],
+    trunc = None if certificate else _chain([r[:2] for r in reducers])[1]
+    budget = _NF_STEP_BUDGET if trunc is None else None
+    r, rest = _mora_nf(f.prim, reducers, trunc, budget, track=certificate)
+    if r is None:
+        raise RuntimeError(
+            f"the walk gave up: more than {_NF_STEP_BUDGET} steps "
+            f"or a coefficient past {_COEFF_BIT_LIMIT} bits"
         )
-    # Truncation is sound against ANY basis, standard or not: if the basis
-    # leading monomials admit a staircase bound N, every monomial of degree
-    # >= N weak-reduces to zero (see _chain), so m^N lies in the generated
-    # ideal and terms of degree >= N may be dropped.  It also makes the walk
-    # finite-by-construction: each step strictly increases the leading code,
-    # which truncation bounds.
-    trunc = _chain([r[:2] for r in reducers])[1]
-    return _to_poly(_mora_nf(f.prim, reducers, trunc)[0])
+    if not certificate:
+        return _to_poly(r)
+    # The walk relates the primitive parts f.prim and g.prim; scale u and
+    # each cofactor back by the contents.
+    u, *qs = rest
+    return (
+        _to_poly(r),
+        _to_poly(u).scale(1 / f.content),
+        [_to_poly(q).scale(1 / g.content) for q, g in zip(qs, basis)],
+    )
 
 
 # -- exact gcd in Z[x, y] ---------------------------------------------------
@@ -993,37 +992,34 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:
-    """Membership of f in the ideal, inside the local ring.
+    """Membership of f in the ideal I, inside the local ring.
 
-    The normal form of f against the standard basis decides: truncated when
-    the staircase is finite, under a step budget otherwise.  Without
-    truncation the staircase of I is infinite, so f is not in I when I + (f)
-    is zero-dimensional, that is when its generators share no factor through
-    the origin.  The walk asks the certificate :func:`_coprime` for that when
-    its coefficients first swell, and gives up when it answers yes.  When
-    the walk gives up, an exact gcd settles a failed certificate.  Otherwise
-    f lies in I exactly when adjoining it leaves the leading ideal unchanged:
-    I is inside I + (f), and ideals I inside J of the local ring with
-    L(I) = L(J) are equal (Greuel-Pfister 1.6).
+    The normal form of f against the standard basis decides, truncated at
+    the staircase bound.  When the staircase is infinite, the generators
+    share a factor g through the origin, and I = g*J with J zero-dimensional
+    (see :func:`_split_common_factor`).  Let d be a gcd of g and f:
+
+    * g/d and f/d are coprime polynomials, and coprime plane polynomials
+      share no curve germ;
+    * so g divides f in the local ring exactly when g/d is a unit there;
+    * in that case g*J = d*J, and f lies in it exactly when f/d lies in J.
+
+    The normal form of f/d against the basis of J, truncated at its
+    staircase bound, decides that.  So every walk here is finite by
+    construction.
     """
     if ideal.is_zero:
         return f.is_zero
     if f.is_zero:
         return True
     sb = standard_basis(ideal)
-    trunc = sb._staircase[0]
-    gens = _pack(ideal) + (f.prim,)
-    # asked at most once: by the walk when it swells, or after it gives up
-    certified = cache(lambda: _coprime(gens))
-    r, _ = _mora_nf(
-        f.prim,
-        [_reducer(t) for t in sb.packed],
-        trunc,
-        _NF_STEP_BUDGET if trunc is None else None,
-        certified if trunc is None else None,
-    )
-    if r is not None:
-        return not r
-    if certified() or _split_common_factor(gens) is None:
-        return False
-    return set(leading_ideal(ideal + Ideal.of(f))) == set(sb.leading_monomials)
+    h = f.prim
+    if sb._staircase[0] is None:
+        g, cofactors = _split_common_factor(_pack(ideal))
+        d = _gcd(g, h)
+        if _quo(g, d)[0][0]:  # no constant term: g/d vanishes at the origin
+            return False
+        h = _quo(h, d)
+        sb = _standard_basis_cached(cofactors)
+    r, _ = _mora_nf(h, [_reducer(t) for t in sb.packed], sb._staircase[0])
+    return not r

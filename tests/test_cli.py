@@ -111,6 +111,20 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("x^(2)")
 
+    def test_rational_exponent_rejected(self):
+        # 4/2 is one rational literal, but an exponent is written as an
+        # integer: x^4/2 is not read as x^2, nor x^4/1 as x^4
+        cases = {"x^4/2+y^3": 2, "x^4/1+y^3": 2, "x^ 4/2": 3, "\u00a0x^4/2": 4}
+        for text, offset in cases.items():
+            with pytest.raises(ParseError, match="exponent must be a nonnegative integer") as info:
+                parse_poly(text)
+            assert info.value.offset == offset, text
+        assert parse_poly("2/4*x") == Fraction(1, 2) * X
+        assert parse_poly("x^2*1/2") == Fraction(1, 2) * X**2
+        with pytest.raises(ParseError, match="denominator is zero") as info:
+            parse_poly("x^2/0")
+        assert info.value.offset == 4
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("1/0")
@@ -273,6 +287,15 @@ class TestExitCodeMatrix:
         code, _, err = run_cli(capsys, "milnor", "x^")
         assert code == 2
         assert err.startswith("error:") and "offset 2" in err
+
+    def test_rational_exponent_is_2(self, capsys):
+        for text in ("x^4/2+y^3", "x^4/1+y^3"):
+            code, out, err = run_cli(capsys, "milnor", text)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: syntax error at byte offset 2: exponent must be a "
+                "nonnegative integer; expected integer exponent\n"
+            )
 
     def test_superscript_is_a_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "milnor", "x\u00b2+y^3")

@@ -6,6 +6,7 @@ case count.  All randomness is seeded: reruns are bit-identical.
 """
 
 import random
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -543,8 +544,10 @@ def test_suites_without_mora(monkeypatch, name):
         return capped_std(gens, cap)
 
     def split(gens):
+        # the basis route only: membership divides out the factor too
         out = split_common_factor(gens)
-        routes["split"] += out is not None
+        if sys._getframe(1).f_code.co_name != "contains":
+            routes["split"] += out is not None
         return out
 
     monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)

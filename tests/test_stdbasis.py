@@ -167,6 +167,21 @@ class TestNormalForm:
         with pytest.raises(RuntimeError, match="5 steps"):
             mora_normal_form(f, basis, certificate=True)
 
+    def test_walk_without_truncation_is_bounded(self):
+        # h*a and h*b share the factor h through the origin, so their leading
+        # monomials have no staircase bound and the walk keeps no truncation
+        # degree.  Unbounded, its coefficients passed 60 000 bits by step
+        # 200.  It stops at the coefficient limit, and membership divides
+        # out h and decides at once
+        h = -3 * X + 3 * X**2 * Y - X**2 * Y**2 + 3 * X * Y**4
+        a = -2 * X**3 - 2 * X * Y**3 - 2 * Y**4 - 2 * X**2 * Y**3
+        b = 2 * X + 2 * X**3 - 3 * X**2 * Y**2
+        f = 2 * X**2 * Y + 3 * X**3 * Y + 2 * X**5
+        limits = f"{stdbasis._NF_STEP_BUDGET} steps .* {stdbasis._COEFF_BIT_LIMIT} bits"
+        with pytest.raises(RuntimeError, match=limits):
+            mora_normal_form(f, [h * a, h * b])
+        assert contains(Ideal.of(h * a, h * b), f)
+
 
 class TestStandardBasis:
     def test_already_standard(self):
@@ -712,21 +727,21 @@ class TestDegenerateIdeals:
         assert calls
         assert got == oracle_colength(list(gens), nmax=20) == 14
 
-    def test_membership_by_leading_ideal_matches_oracle(self, monkeypatch):
-        # I = h*(a, b) has an infinite staircase, so the walk of contains has
-        # no truncation degree; on most members it gives up, and membership
-        # compares the leading ideals of I and I + (f).  The oracle sees it
-        # degree by degree: f in I leaves dim O/(I + m^n) unchanged, and a
-        # monomial of degree below n outside L(I) lowers it, since
-        # L(I + m^n) = L(I) below degree n
-        compared = []
-        lead = stdbasis.leading_ideal
+    def test_membership_by_the_split_matches_oracle(self, monkeypatch):
+        # I = h*(a, b) has an infinite staircase, so contains divides out the
+        # shared factor h and walks in the zero-dimensional (a, b).  The
+        # oracle sees membership degree by degree: f in I leaves
+        # dim O/(I + m^n) unchanged, and a monomial of degree below n outside
+        # L(I) lowers it, since L(I + m^n) = L(I) below degree n
+        taken = []
+        split = stdbasis._split_common_factor
 
-        def counted(ideal):
-            compared.append(ideal)
-            return lead(ideal)
+        def counted(gens):
+            if sys._getframe(1).f_code.co_name == "contains":
+                taken.append(gens)
+            return split(gens)
 
-        monkeypatch.setattr(stdbasis, "leading_ideal", counted)
+        monkeypatch.setattr(stdbasis, "_split_common_factor", counted)
         rng = random.Random(4242)
         n = 8
         outside = 0
@@ -753,13 +768,13 @@ class TestDegenerateIdeals:
                 assert quotient_dim_modp(gens + [mono], n, PRIMES[0]) < base
                 outside += 1
         assert outside >= 12
-        assert len(compared) >= 6
+        assert len(taken) >= 6
 
     def test_non_member_without_common_factor_through_the_origin(self, monkeypatch):
-        # the walk of contains gives up on I = h*(a, b); h and f share no
-        # factor through the origin, so I + (f) is zero-dimensional and I is
-        # not, and f is not in I.  The leading ideal of I + (f) took capped
-        # elimination up to cap 64 and more than a minute
+        # h and f share no factor through the origin, so h does not divide f
+        # in the local ring and f is not in I = h*(a, b).  Deciding it by the
+        # leading ideal of I + (f) took capped elimination up to cap 64 and
+        # more than a minute
         def refuse(*args):
             raise AssertionError("capped elimination")
 
@@ -803,12 +818,15 @@ class TestForcedRoutes:
 
     @pytest.fixture(autouse=True)
     def routes(self, monkeypatch):
-        calls = {"split": 0, "capped": 0}
+        calls = {"split": 0, "capped": 0, "membership": 0}
         split, capped = stdbasis._split_common_factor, stdbasis._capped_std
 
         def counted_split(gens):
+            # "split" counts the basis route; membership divides out the
+            # shared factor too, and is counted apart
             out = split(gens)
-            calls["split"] += out is not None
+            in_contains = sys._getframe(1).f_code.co_name == "contains"
+            calls["membership" if in_contains else "split"] += out is not None
             return out
 
         def counted_capped(gens, cap):
@@ -931,7 +949,7 @@ class TestForcedRoutes:
         assert contains(ideal, X**2 * Y * (Poly.one() + Y)) is True
         assert contains(ideal, X * Y) is False
         assert contains(ideal, Y**3) is False
-        assert routes["split"] > 0
+        assert routes["membership"] == 4
 
     def test_routes_import_nothing(self, routes, monkeypatch):
         # neither route has a lazy import, of a computer-algebra system or
@@ -1075,40 +1093,32 @@ class TestRouteChoice:
             stdbasis._standard_basis_cached.cache_clear()
         assert caps == [4, 8, 16, 32, 33]
 
-    def test_certified_non_member_takes_no_exact_gcd(self, monkeypatch):
-        # the walk of contains gives up on I = h*(a, b), and the certificate
-        # shows I + (f) zero-dimensional, so f is not in I
-        stdbasis._standard_basis_cached.cache_clear()
-        try:
-            standard_basis(NON_MEMBER_IDEAL)
+    def test_membership_walks_are_truncated(self, monkeypatch):
+        # contains decides a shared-factor ideal by dividing out the factor:
+        # h*(a, b) against x^4 y^6, where h is no unit and shares nothing
+        # with f, needs no walk, and the ideal with the factor x(1+x) walks
+        # against the basis of the zero-dimensional cofactor ideal
+        truncs = []
+        mora_nf = stdbasis._mora_nf
 
-            def refuse(*args):
-                raise AssertionError("exact gcd")
+        def counted(h, basis, trunc=None, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "contains":
+                truncs.append(trunc)
+            return mora_nf(h, basis, trunc, *args, **kwargs)
 
-            monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
-            assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
-        finally:
-            stdbasis._standard_basis_cached.cache_clear()
-
-    def test_certified_non_member_walk_ends_at_the_swell_mark(self, monkeypatch):
-        # the walk of contains asks the certificate when its coefficients
-        # first swell, and gives up then; it used to walk on to the limit
-        steps = []
-        reduce_step = stdbasis._reduce_step
-
-        def counted(h, g):
-            out = reduce_step(h, g)
-            steps.append(max(h[0][1].bit_length(), out[0][1].bit_length() if out else 0))
-            return out
-
-        stdbasis._standard_basis_cached.cache_clear()
-        try:
-            standard_basis(NON_MEMBER_IDEAL)
-            monkeypatch.setattr(stdbasis, "_reduce_step", counted)
-            assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
-        finally:
-            stdbasis._standard_basis_cached.cache_clear()
-        assert steps and max(steps) < stdbasis._COEFF_BIT_LIMIT
+        monkeypatch.setattr(stdbasis, "_mora_nf", counted)
+        g = X * (Poly.one() + X)
+        ideal = Ideal.of(g * X**2, g * Y**2, g * X * Y)
+        cases = [
+            (NON_MEMBER_IDEAL, X**4 * Y**6, False),
+            (ideal, X * Y**2, True),
+            (ideal, X**2 * Y * (Poly.one() + Y), True),
+            (ideal, X * Y, False),
+            (ideal, Y**3, False),
+        ]
+        for member_of, f, expect in cases:
+            assert contains(member_of, f) is expect, f
+        assert truncs and None not in truncs
 
 
 def test_gcd_of_products():
