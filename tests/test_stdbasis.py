@@ -1093,6 +1093,18 @@ class TestRouteChoice:
             stdbasis._standard_basis_cached.cache_clear()
         assert caps == [4, 8, 16, 32, 33]
 
+    def test_non_member_by_a_vanishing_cofactor_takes_no_walk(self, monkeypatch):
+        # h*(a, b) against x^4 y^6: h vanishes at the origin and shares
+        # nothing with f, so g/d = h is no unit and contains answers False
+        # before any normal form
+        standard_basis(NON_MEMBER_IDEAL)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk")
+
+        monkeypatch.setattr(stdbasis, "_mora_nf", refuse)
+        assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
+
     def test_membership_walks_are_truncated(self, monkeypatch):
         # contains decides a shared-factor ideal by dividing out the factor:
         # h*(a, b) against x^4 y^6, where h is no unit and shares nothing
