@@ -250,6 +250,11 @@ def gsv_index(F: Foliation, C: CurveGerm) -> int:
     )
 
 
+# The directions (a:b) that polar_intersection_k can draw: a, b in [-20, 20],
+# not both zero, divided by their gcd and with the first nonzero one positive.
+_DIRECTIONS = 512
+
+
 def polar_intersection_k(
     F: Foliation, C: CurveGerm, k: int, samples: int = 3, seed: int = 0
 ):
@@ -264,6 +269,8 @@ def polar_intersection_k(
     _natural(k, "k")
     if samples < 3:
         raise PreconditionError("at least 3 direction samples are required")
+    if samples > _DIRECTIONS:
+        raise PreconditionError(f"at most {_DIRECTIONS} direction samples can be drawn")
     if not is_invariant(F, C):
         raise PreconditionError("the curve is not invariant by the foliation")
     rng = random.Random(seed)

@@ -189,7 +189,8 @@ def _mora_nf(
 
     ``track``, passed by :func:`mora_normal_form` alone and never with
     ``trunc``, carries the vector [h, u, q_1, ..., q_n] with
-    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis.  A walk
+    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis; each
+    reducer then holds its own vector in place of its term list.  A walk
     that does not give up then returns [u, q_1, ..., q_n] in place of the
     budget, and a normal form r, not normalized, with
     u*h_0 = sum(q_i * g_i) + r.
@@ -197,17 +198,14 @@ def _mora_nf(
     if trunc is not None:
         h = _truncate(h, trunc)
     reducers = list(basis)
-    vectors = vec = None
+    vec = None
     if track:
-        # Keyed on the reducer's term list, so the scan below stays as it is.
-        # Basis elements that share one term list object (g and 2*g share
-        # their prim) share one vector, which serves for either of them.
         n = len(basis)
         vec = [h, [(0, 1)]] + [[] for _ in range(n)]
-        vectors = {
-            id(r[-1]): [r[-1], []] + [[(0, -1)] if j == i else [] for j in range(n)]
+        reducers = [
+            (*r[:4], [r[-1], []] + [[(0, -1)] if j == i else [] for j in range(n)])
             for i, r in enumerate(basis)
-        }
+        ]
     while h:
         if budget is not None:
             budget -= 1
@@ -232,17 +230,15 @@ def _mora_nf(
             break
         ecg, t = best
         if ecg > _ecart(h):
-            reducers.append(_reducer(h))
-            if vectors is not None:
-                vectors[id(h)] = vec
-        if vectors is None:
+            reducers.append(_reducer(h) if vec is None else (*_reducer(h)[:4], vec))
+        if vec is None:
             h = _reduce_step(h, t)
         else:
-            vec = _reduce_tracked(vec, vectors[id(t)])
+            vec = _reduce_tracked(vec, t)
             h = vec[0]
         if trunc is not None:
             h = _truncate(h, trunc)
-    if vectors is None:
+    if vec is None:
         return _strip(h), budget
     return h, vec[1:]
 
@@ -485,6 +481,26 @@ class StandardBasis:
     @cached_property
     def _staircase(self) -> "tuple[int | None, int | None]":
         return _chain(self.leading_monomials)[1:]
+
+    @cached_property
+    def _factor(self) -> "tuple[list, StandardBasis] | None":
+        """None for a finite staircase, else (g, basis of J) with I = g*J.
+
+        The split route of :func:`_standard_basis_from_gens` presets it with
+        the split it made.  Any other basis with an infinite staircase comes
+        from a Mora run none of whose walks had a truncation degree, since
+        the staircase bound only falls; so every element is a polynomial
+        combination of the run's inputs and divisible by their gcd g_0.  The
+        elements generate I, so each input is a combination of them in the
+        local ring, and the gcd of the elements that
+        :func:`_split_common_factor` finds is g_0 times a unit of the local
+        ring.  That is all :func:`contains` needs: I = g*J for the g and the
+        cofactor ideal J of this split.
+        """
+        if self._staircase[0] is not None:
+            return None
+        g, cofactors = _split_common_factor(self.packed)
+        return g, _standard_basis_cached(cofactors)
 
 
 # -- public operations ------------------------------------------------------
@@ -854,8 +870,10 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
             cap = min(2 * cap, bound + 1)
     elif internal is None:
         g, cofactors = reason
-        inner = _standard_basis_cached(cofactors).packed
-        internal = [_product(g, t) for t in inner]
+        inner = _standard_basis_cached(cofactors)
+        sb = StandardBasis(tuple(_product(g, t) for t in inner.packed))
+        sb.__dict__["_factor"] = g, inner  # preset with the split just made
+        return sb
     return StandardBasis(tuple(map(tuple, internal)))
 
 
@@ -996,8 +1014,9 @@ def contains(ideal: Ideal, f: Poly) -> bool:
 
     The normal form of f against the standard basis decides, truncated at
     the staircase bound.  When the staircase is infinite, the generators
-    share a factor g through the origin, and I = g*J with J zero-dimensional
-    (see :func:`_split_common_factor`).  Let d be a gcd of g and f:
+    share a factor g through the origin, and I = g*J with J zero-dimensional;
+    the basis keeps that split (see :attr:`StandardBasis._factor`).  Let d be
+    a gcd of g and f:
 
     * g/d and f/d are coprime polynomials, and coprime plane polynomials
       share no curve germ;
@@ -1014,12 +1033,11 @@ def contains(ideal: Ideal, f: Poly) -> bool:
         return True
     sb = standard_basis(ideal)
     h = f.prim
-    if sb._staircase[0] is None:
-        g, cofactors = _split_common_factor(_pack(ideal))
+    if sb._factor is not None:
+        g, sb = sb._factor
         d = _gcd(g, h)
         if _quo(g, d)[0][0]:  # no constant term: g/d vanishes at the origin
             return False
         h = _quo(h, d)
-        sb = _standard_basis_cached(cofactors)
     r, _ = _mora_nf(h, [_reducer(t) for t in sb.packed], sb._staircase[0])
     return not r

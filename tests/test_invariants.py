@@ -1,9 +1,12 @@
 """Invariants layer: frozen values, closed forms, preconditions, checks."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from folinv import invariants
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import INFINITE, Ideal, colength, maximal_ideal_power
 from folinv.invariants import (
@@ -207,6 +210,26 @@ class TestPolar:
         fol = hamiltonian(NODE)
         with pytest.raises(PreconditionError):
             polar_intersection_k(fol, curve(NODE), 0, samples=2)
+
+    def test_more_samples_than_directions_refused_at_once(self):
+        # the draws could never meet such a count; they used to run
+        # 500 * samples times before blaming the curve
+        f = X**3 + Y**4
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="at most 512"):
+            polar_intersection_k(hamiltonian(f), curve(f), 0, samples=513)
+        assert time.perf_counter() - start < 0.1
+
+    def test_direction_count_matches_the_box(self):
+        directions = set()
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                if a or b:
+                    g = gcd(a, b)
+                    if a < 0 or (a == 0 and b < 0):
+                        g = -g
+                    directions.add((a // g, b // g))
+        assert invariants._DIRECTIONS == len(directions)
 
 
 class TestGsvPolarDifference:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from folinv import invariants, stdbasis
-from folinv.ring import Poly, X, Y
+from folinv.ring import Poly, X, Y, _decode
 from folinv.stdbasis import (
     Ideal,
     colength,
@@ -41,7 +41,7 @@ from folinv.invariants import (
     weighted_homogeneous_weights,
 )
 
-from oracle import rand_poly
+from oracle import oracle_colength, rand_poly
 
 
 def _finite(*values):
@@ -535,18 +535,24 @@ _FALLBACK_ROUTES: dict = {}
 def test_suites_without_mora(monkeypatch, name):
     # With no Mora steps every walk gives up at once, so each standard basis
     # comes from capped elimination or from the common-factor split; the
-    # suites must hold all the same.
+    # suites must hold all the same, and each accepted capped basis has the
+    # oracle's colength.
     routes = Counter()
+    accepted = []
     capped_std, split_common_factor = stdbasis._capped_std, stdbasis._split_common_factor
 
     def capped(gens, cap):
         routes["capped"] += 1
-        return capped_std(gens, cap)
+        out = capped_std(gens, cap)
+        if out is not None:
+            accepted.append((gens, out))
+        return out
 
     def split(gens):
-        # the basis route only: membership divides out the factor too
+        # the basis route only: a basis that Mora finished splits its own
+        # elements once, for membership
         out = split_common_factor(gens)
-        if sys._getframe(1).f_code.co_name != "contains":
+        if sys._getframe(1).f_code.co_name != "_factor":
             routes["split"] += out is not None
         return out
 
@@ -561,6 +567,11 @@ def test_suites_without_mora(monkeypatch, name):
         stdbasis._standard_basis_cached.cache_clear()
         invariants.is_invariant.cache_clear()
     assert cases >= 10 and failures == 0
+    for gens, basis in accepted:
+        c = stdbasis._chain([_decode(t[0][0]) for t in basis])[2]
+        if c <= 40:
+            polys = [stdbasis._to_poly(t) for t in gens]
+            assert oracle_colength(polys, nmax=c + 2) == c, polys
     _FALLBACK_ROUTES[name] = routes
     if len(_FALLBACK_ROUTES) == len(SUITES):
         total = sum(_FALLBACK_ROUTES.values(), Counter())

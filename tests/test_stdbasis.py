@@ -44,10 +44,9 @@ G_RUN = Y**5 - X**7 + X**4 * Y**4
 # I = h*(a, b) has an infinite staircase, while h and x^4 y^6 share no factor
 # through the origin: I + (x^4 y^6) is zero-dimensional, so x^4 y^6 is not in I
 H_APART = -3 * Y - 2 * X * Y - X**3 * Y - X**5
-NON_MEMBER_IDEAL = Ideal.of(
-    H_APART * (-2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3),
-    H_APART * (3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y),
-)
+A_APART = -2 * X**3 - 3 * X * Y**2 - 3 * Y**4 + X**2 * Y**3
+B_APART = 3 * X - 2 * Y + 2 * X**3 * Y + 3 * X**4 * Y
+NON_MEMBER_IDEAL = Ideal.of(H_APART * A_APART, H_APART * B_APART)
 
 
 class TestNormalForm:
@@ -727,21 +726,13 @@ class TestDegenerateIdeals:
         assert calls
         assert got == oracle_colength(list(gens), nmax=20) == 14
 
-    def test_membership_by_the_split_matches_oracle(self, monkeypatch):
+    def test_membership_by_the_split_matches_oracle(self):
         # I = h*(a, b) has an infinite staircase, so contains divides out the
-        # shared factor h and walks in the zero-dimensional (a, b).  The
-        # oracle sees membership degree by degree: f in I leaves
-        # dim O/(I + m^n) unchanged, and a monomial of degree below n outside
-        # L(I) lowers it, since L(I + m^n) = L(I) below degree n
-        taken = []
-        split = stdbasis._split_common_factor
-
-        def counted(gens):
-            if sys._getframe(1).f_code.co_name == "contains":
-                taken.append(gens)
-            return split(gens)
-
-        monkeypatch.setattr(stdbasis, "_split_common_factor", counted)
+        # shared factor h, kept on the basis, and walks in the
+        # zero-dimensional (a, b).  The oracle sees membership degree by
+        # degree: f in I leaves dim O/(I + m^n) unchanged, and a monomial of
+        # degree below n outside L(I) lowers it, since L(I + m^n) = L(I)
+        # below degree n
         rng = random.Random(4242)
         n = 8
         outside = 0
@@ -767,8 +758,8 @@ class TestDegenerateIdeals:
                 assert not contains(ideal, mono)
                 assert quotient_dim_modp(gens + [mono], n, PRIMES[0]) < base
                 outside += 1
+            assert vars(standard_basis(ideal)).get("_factor") is not None
         assert outside >= 12
-        assert len(taken) >= 6
 
     def test_non_member_without_common_factor_through_the_origin(self, monkeypatch):
         # h and f share no factor through the origin, so h does not divide f
@@ -822,11 +813,11 @@ class TestForcedRoutes:
         split, capped = stdbasis._split_common_factor, stdbasis._capped_std
 
         def counted_split(gens):
-            # "split" counts the basis route; membership divides out the
-            # shared factor too, and is counted apart
+            # "split" counts the basis route; a basis that Mora finished
+            # splits its own elements once, for membership, counted apart
             out = split(gens)
-            in_contains = sys._getframe(1).f_code.co_name == "contains"
-            calls["membership" if in_contains else "split"] += out is not None
+            in_factor = sys._getframe(1).f_code.co_name == "_factor"
+            calls["membership" if in_factor else "split"] += out is not None
             return out
 
         def counted_capped(gens, cap):
@@ -949,7 +940,7 @@ class TestForcedRoutes:
         assert contains(ideal, X**2 * Y * (Poly.one() + Y)) is True
         assert contains(ideal, X * Y) is False
         assert contains(ideal, Y**3) is False
-        assert routes["membership"] == 4
+        assert routes["membership"] == 1
 
     def test_routes_import_nothing(self, routes, monkeypatch):
         # neither route has a lazy import, of a computer-algebra system or
@@ -1104,6 +1095,33 @@ class TestRouteChoice:
 
         monkeypatch.setattr(stdbasis, "_mora_nf", refuse)
         assert contains(NON_MEMBER_IDEAL, X**4 * Y**6) is False
+
+    def test_membership_reads_the_split_kept_on_the_basis(self, monkeypatch):
+        # Mora gives up on h*(a, b) and the split route builds its basis;
+        # that basis keeps (h, basis of (a, b)), so membership in it never
+        # splits the generators again
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            assert vars(standard_basis(NON_MEMBER_IDEAL)).get("_factor") is not None
+
+            def refuse(gens):
+                raise AssertionError("split")
+
+            monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
+            h, a, b = H_APART, A_APART, B_APART
+            cofactors = [
+                (Poly.one(), Poly.zero()),
+                (Poly.one() + X, Y),
+                (Poly.constant(3) + X * Y, Poly.one() - Y**2),
+            ]
+            for u, v in cofactors:
+                assert contains(NON_MEMBER_IDEAL, h * (u * a + v * b)) is True, (u, v)
+            assert contains(NON_MEMBER_IDEAL, h * Y**3) is True
+            outside = [X**4 * Y**6, h, h * X, h * X**2, h * h, Y**2, h * (a + X * b) + X**9]
+            for f in outside:
+                assert contains(NON_MEMBER_IDEAL, f) is False, f
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
 
     def test_membership_walks_are_truncated(self, monkeypatch):
         # contains decides a shared-factor ideal by dividing out the factor:
