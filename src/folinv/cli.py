@@ -29,9 +29,8 @@ import json
 import os
 import sys
 import time
-import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2, prod
 from typing import NamedTuple
@@ -358,7 +357,6 @@ class Outcome:
     seed: "int | None" = None
     reports: "tuple | None" = None
     summary: "dict | None" = None
-    warnings: tuple = field(default_factory=tuple)
     fmt: str = "table"
 
     @property
@@ -620,24 +618,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _seed(args, from_env: bool) -> int:
-    env = os.environ.get("FOLINV_SEED") if from_env else None
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(
-            f"FOLINV_SEED must be an integer, got {env!r}"
-        ) from None
-
-
 def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
     """Parse argv and run the command, returning the raw outcome.
 
-    ``allow_scenarios=False`` is scenario mode: the scenarios verb is refused,
-    and the seed comes from ``--seed`` alone, never from FOLINV_SEED, so a
-    scenario's value depends on its expression only.
+    ``allow_scenarios=False`` is scenario mode: the scenarios verb is refused.
+    ``--seed`` is echoed as given; it only picks where the walk over polar
+    directions starts, so no value depends on it.
 
     Raises ParseError / PreconditionError for invalid inputs, and SystemExit(2)
     for malformed argument lists (argparse's native behavior).
@@ -653,16 +639,12 @@ def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
         command, row = args.verb, VERBS[args.verb]
         if command == "check":
             command, row = f"check {args.name}", CHECKS[args.name]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = _evaluate_row(command, row, args, allow_scenarios)
-        outcome.warnings = tuple(str(w.message) for w in caught)
+        outcome = _evaluate_row(command, row, args)
     outcome.fmt = args.format
     return outcome
 
 
-def _evaluate_row(command: str, row: _Row, args, env_seed: bool) -> Outcome:
-    seed = _seed(args, env_seed) if "seed" in vars(args) else None
+def _evaluate_row(command: str, row: _Row, args) -> Outcome:
     for name in row.inputs:
         if getattr(args, name) is None:
             raise PreconditionError(f"--{name} is required for this command")
@@ -673,9 +655,10 @@ def _evaluate_row(command: str, row: _Row, args, env_seed: bool) -> Outcome:
                 f"{command} requires --{flag} ({reason} is not decidable here)"
             )
     args.k = row.k(args) if row.k else getattr(args, "k", None)
-    args.seed = seed
     inputs = {name: copy.copy(getattr(args, name)) for name in row.inputs}
-    return Outcome(command, inputs, args.k, row.run(args), seed=seed)
+    return Outcome(
+        command, inputs, args.k, row.run(args), seed=getattr(args, "seed", None)
+    )
 
 
 def _evaluate_scenarios(args) -> Outcome:
@@ -760,8 +743,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    for message in outcome.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     try:
         print(_render(outcome, outcome.fmt, elapsed_ms))
         sys.stdout.flush()

@@ -12,7 +12,7 @@ so that each route can check the other:
 * k-th Tjurina number along a curve    tau^k(F,C)= dim O/((P,Q) * m^k + (f))
 * intersection number                  i(f,g)    = dim O/(f,g)
 * GSV index along an invariant curve, via explicit 1-form decompositions
-* k-th polar intersection number, via sampled generic directions
+* k-th polar intersection number, certified generic by its least i^0
 
 All arithmetic is exact; every dimension is an exact natural number or the
 value INFINITE.
@@ -20,11 +20,10 @@ value INFINITE.
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 from .ring import Poly, multiplicity
@@ -250,9 +249,27 @@ def gsv_index(F: Foliation, C: CurveGerm) -> int:
     )
 
 
-# The directions (a:b) that polar_intersection_k can draw: a, b in [-20, 20],
-# not both zero, divided by their gcd and with the first nonzero one positive.
-_DIRECTIONS = 512
+# The directions polar_intersection_k walks: (a:b) with a, b in [-20, 20], not
+# both zero, divided by their gcd and with the first nonzero entry positive,
+# lowest height max(|a|, |b|) first.
+_BOX = [
+    (a, b)
+    for a in range(21)
+    for b in range(-20, 21)
+    if gcd(a, b) == 1 and (a > 0 or b > 0)
+]
+_BOX.sort(key=lambda d: (max(abs(d[0]), abs(d[1])), d))
+_DIRECTIONS = len(_BOX)
+
+
+def _polars(F: Foliation, seed: int):
+    """The polars a*P + b*Q with nu = nu(F), walking _BOX from position seed % 512."""
+    nu = F.multiplicity
+    start = seed % _DIRECTIONS
+    for a, b in _BOX[start:] + _BOX[:start]:
+        p = a * F.P + b * F.Q
+        if not p.is_zero and p.multiplicity() == nu:
+            yield p
 
 
 def polar_intersection_k(
@@ -260,11 +277,21 @@ def polar_intersection_k(
 ):
     """i^k of the polar curve of F against C: dim O/((aP+bQ, f) * m^k) at generic (a:b).
 
-    Draws ``samples`` distinct directions (a:b) with small integer entries,
-    keeping only those with nu(a*P + b*Q) = nu(F), and returns the minimum of
-    the finite sampled colengths -- the generic value is minimal and attained
-    away from a proper closed set of directions.  Disagreement between samples
-    is flagged with a RuntimeWarning; the seed makes runs reproducible.
+    Walks the directions of the box [-20, 20]^2 cyclically from position
+    ``seed % 512`` and keeps the first max(``samples``, nu(f) + 1) with
+    nu(a*P + b*Q) = nu(F); at most one direction fails that, the one where
+    the degree-nu parts of P and Q cancel.  Then it returns i^k of a kept
+    polar p with the least i^0 = i(p, f).  That is the generic value:
+
+    * along each branch of f, the order of (aP + bQ) restricted to the branch
+      exceeds its generic value for at most one (a:b), and f has at most
+      nu(f) branches, so one of the nu(f) + 1 kept directions has the
+      generic, least, i^0 (Teissier 1973; Casas-Alvero 2000);
+    * (p, f) is a complete intersection, so i^k is fixed by i^0 and
+      min(nu(p), nu(f)), and grows with i^0 (the Koszul identity; Eisenbud
+      1995, ch. 17); every kept p has nu(p) = nu(F).
+
+    The seed only chooses where the walk starts; no value depends on it.
     """
     _natural(k, "k")
     if samples < 3:
@@ -273,42 +300,16 @@ def polar_intersection_k(
         raise PreconditionError(f"at most {_DIRECTIONS} direction samples can be drawn")
     if not is_invariant(F, C):
         raise PreconditionError("the curve is not invariant by the foliation")
-    rng = random.Random(seed)
-    nu = F.multiplicity
-    polars: list[Poly] = []
-    seen = set()
-    attempts = 0
-    while len(polars) < samples and attempts < 500 * samples:
-        attempts += 1
-        a = rng.randint(-20, 20)
-        b = rng.randint(-20, 20)
-        if a == 0 and b == 0:
-            continue
-        g = gcd(abs(a), abs(b))
-        a, b = a // g, b // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        p = a * F.P + b * F.Q
-        if p.is_zero or p.multiplicity() != nu:
-            continue
-        polars.append(p)
-    if len(polars) < samples:
-        raise PreconditionError("polar degenerate against the curve")
-    values = [colength(Ideal.of(p, C.f), k) for p in polars]
-    finite = [v for v in values if is_finite(v)]
-    if not finite:
-        raise PreconditionError("polar degenerate against the curve")
-    if any(v != values[0] for v in values):
-        warnings.warn(
-            "polar direction samples disagree; a non-generic direction was drawn "
-            "and the minimum finite value is reported",
-            RuntimeWarning,
-            stacklevel=2,
+    needed = max(samples, C.f.multiplicity() + 1)
+    polars = list(islice(_polars(F, seed), needed))
+    if len(polars) < needed:
+        raise PreconditionError(
+            f"{needed} directions are needed, but only {len(polars)} of the"
+            f" {_DIRECTIONS} keep nu(aP + bQ) = nu(F)"
         )
-    return min(finite)
+    i0 = [colength(Ideal.of(p, C.f)) for p in polars]
+    least = min(v for v in i0 if is_finite(v))
+    return colength(Ideal.of(polars[i0.index(least)], C.f), k)
 
 
 # -- closed forms -------------------------------------------------------------

@@ -11,9 +11,8 @@ re-evaluated through the same dispatch used by the CLI; ``expected`` is the
 frozen canonical value (integer, ``true``/``false``, ``infinite``,
 comma-joined tuple) or the marker ``property`` meaning "the command must
 report boolean true".  Reports are bit-stable runs by construction: scenarios
-execute in id order with all randomness seeded from the expression itself
-(``FOLINV_SEED`` is not read), and only the ``elapsed_ms`` fields may vary
-between runs.
+execute in id order, no value depends on a seed or on the environment, and
+only the ``elapsed_ms`` fields may vary between runs.
 """
 
 from __future__ import annotations

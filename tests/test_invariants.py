@@ -212,13 +212,14 @@ class TestPolar:
             polar_intersection_k(fol, curve(NODE), 0, samples=2)
 
     def test_more_samples_than_directions_refused_at_once(self):
-        # the draws could never meet such a count; they used to run
-        # 500 * samples times before blaming the curve
+        # 513 exceeds the box; with 512, the direction (0:1) gives the polar
+        # 4y^3 of multiplicity 3 > nu(F) = 2, so only 511 directions qualify
         f = X**3 + Y**4
-        start = time.perf_counter()
-        with pytest.raises(PreconditionError, match="at most 512"):
-            polar_intersection_k(hamiltonian(f), curve(f), 0, samples=513)
-        assert time.perf_counter() - start < 0.1
+        for samples, match in ((513, "at most 512"), (512, "only 511 of the 512")):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=match):
+                polar_intersection_k(hamiltonian(f), curve(f), 0, samples=samples)
+            assert time.perf_counter() - start < 0.1
 
     def test_direction_count_matches_the_box(self):
         directions = set()
@@ -230,6 +231,23 @@ class TestPolar:
                         g = -g
                     directions.add((a // g, b // g))
         assert invariants._DIRECTIONS == len(directions)
+        assert len(invariants._BOX) == len(directions)
+        assert set(invariants._BOX) == directions
+        assert set(invariants._BOX[:4]) == {(0, 1), (1, 0), (1, 1), (1, -1)}
+
+    def test_polars_through_a_branch_are_outvoted(self):
+        # f = xy(x - y): the polars of (0:1), (1:0) and (1:1) are x(x - 2y),
+        # y(2x - y) and x^2 - y^2, each through a branch of f, and a walk from
+        # position 0 meets them among its first four directions
+        f = X * Y * (X - Y)
+        fol, c = hamiltonian(f), curve(f)
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            assert intersection_number(a * fol.P + b * fol.Q, f) is INFINITE
+        values = [polar_intersection_k(fol, c, k, seed=0) for k in range(4)]
+        assert values == [6, 8, 12, 17]
+        assert values == [milnor_k(f, k) + 3 - 1 for k in range(4)]
+        for seed in range(invariants._DIRECTIONS):
+            assert polar_intersection_k(fol, c, 0, seed=seed) == 6, seed
 
 
 class TestGsvPolarDifference:
