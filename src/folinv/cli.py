@@ -263,7 +263,7 @@ class _Parser:
         if self._peek().kind == "CARET":
             op = self._advance()
             tok = self._peek()
-            if tok.kind != "NUM" or tok.value.denominator != 1:
+            if tok.kind != "NUM":
                 raise ParseError(
                     "exponent must be a nonnegative integer",
                     tok.offset,
@@ -445,8 +445,6 @@ def _vdim(args):
     gens = [parse_poly(g) for g in args.gens]
     plus = Ideal(tuple(parse_poly(g) for g in args.plus))
     base = Ideal(tuple(gens)) if gens else Ideal.of(Poly.one())
-    if base.is_zero and plus.is_zero:
-        return INFINITE
     return colength(base, args.mk, plus)
 
 

@@ -28,7 +28,6 @@ from math import gcd
 
 from .ring import Poly, multiplicity
 from .stdbasis import (
-    INFINITE,
     Ideal,
     colength,
     contains,
@@ -163,19 +162,12 @@ def jacobian_ideal(f: Poly) -> Ideal:
 def milnor_k(f: Poly, k: int):
     """mu^k(f) = dim O/(m^k * j(f)); INFINITE when the singularity is not isolated."""
     _natural(k, "k")
-    if f.is_zero:
-        return INFINITE
-    jac = jacobian_ideal(f)
-    if jac.is_zero:
-        return INFINITE
-    return colength(jac, k)
+    return colength(jacobian_ideal(f), k)
 
 
 def tjurina_k(f: Poly, k: int):
     """tau^k(f) = dim O/(m^k * j(f) + (f)); INFINITE when f is not reduced."""
     _natural(k, "k")
-    if f.is_zero:
-        return INFINITE
     return colength(jacobian_ideal(f), k, Ideal.of(f))
 
 
@@ -195,10 +187,7 @@ def foliation_tjurina_k(F: Foliation, C: CurveGerm, k: int):
 
 def intersection_number(f: Poly, g: Poly):
     """i(f,g) = dim O/(f,g); INFINITE signals a common branch through the origin."""
-    ideal = Ideal.of(f, g)
-    if ideal.is_zero:
-        return INFINITE
-    return colength(ideal)
+    return colength(Ideal.of(f, g))
 
 
 @lru_cache(maxsize=1024)
@@ -562,6 +551,6 @@ def milnor_report(f: Poly, k: int) -> InvariantReport:
     computed = milnor_k(f, k)
     closed = None
     mu0 = milnor_k(f, 0)
-    if is_finite(mu0) and not f.is_zero and f.multiplicity() >= 1:
+    if is_finite(mu0) and f.multiplicity() >= 1:
         closed = milnor_k_closed(mu0, f.multiplicity(), k)
     return InvariantReport(name=f"milnor_{k}", computed=computed, closed_form=closed)

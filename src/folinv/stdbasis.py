@@ -156,7 +156,7 @@ def _mora_nf(
     basis: list,
     trunc: "int | None" = None,
     budget: "int | None" = None,
-    swelling: "Callable[[], bool] | None" = None,
+    swelling: "Callable[[], object] | None" = None,
     track: bool = False,
 ) -> "tuple[list | None, int | list | None]":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
@@ -185,7 +185,7 @@ def _mora_nf(
       compounds integer coefficients exponentially.
 
     ``swelling`` is called, at most once, when a leading coefficient first
-    passes _SWELL_BITS: return True to give up now.
+    passes _SWELL_BITS: a true result gives up now.
 
     ``track``, passed by :func:`mora_normal_form` alone and never with
     ``trunc``, carries the vector [h, u, q_1, ..., q_n] with
@@ -302,7 +302,7 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     question costs the certificate :func:`_coprime` when it is answered no,
     and an exact gcd only when the certificate fails.
     """
-    G = [list(g) for g in gens if g]
+    G = [list(g) for g in gens]
     reducers = [_reducer(g) for g in G]
     exps = [r[:2] for r in reducers]
     trunc = _chain(exps)[1]
@@ -363,7 +363,7 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
         s = _spoly(G[i], G[j], (deg << _SHIFT) | max(exps[i][1], exps[j][1]))
         if not s:
             continue
-        swelling = None if trunc is not None else lambda: split() is not None
+        swelling = None if trunc is not None else split
         r, budget = _mora_nf(s, reducers, trunc, budget, swelling)
         if r is None:
             parts = split() if trunc is None else None
@@ -804,8 +804,6 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
     """
     pivots: dict[int, list] = {}
     for g in internal_gens:
-        if not g:
-            continue
         gmin = g[0][0] >> _SHIFT
         for s in range(max(0, cap - gmin)):
             for b in range(s + 1):
@@ -982,14 +980,12 @@ _standard_basis_cached = _BasisCache(maxsize=4096)
 
 
 def standard_basis(ideal: Ideal) -> StandardBasis:
-    """Standard basis of a nonzero ideal under the local order."""
-    if ideal.is_zero:
-        raise ValueError("standard basis of the zero ideal is undefined")
+    """Standard basis of an ideal under the local order; the zero ideal has the empty one."""
     return _standard_basis_cached(_pack(ideal))
 
 
 def leading_ideal(ideal: Ideal) -> tuple[Monomial, ...]:
-    """The minimal generators of the leading ideal, by increasing x-exponent."""
+    """The minimal generators of the leading ideal, by increasing x-exponent; () for zero."""
     return standard_basis(ideal).leading_monomials
 
 
@@ -997,16 +993,13 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
     """dim_Q O/(m^k * ideal + plus): the monomials outside the leading staircase.
 
     Finite exactly when the leading ideal contains a pure power of x and a
-    pure power of y; otherwise returns INFINITE.  m^k * ideal is never
-    expanded into polynomials: a sweep over k reuses the basis for k - 1
-    (see :class:`_BasisCache`).
+    pure power of y; otherwise, as for the zero ideal, returns INFINITE.
+    m^k * ideal is never expanded into polynomials: a sweep over k reuses
+    the basis for k - 1 (see :class:`_BasisCache`).
     """
     if k < 0:
         raise ValueError("negative power of the maximal ideal")
-    gens, extra = _pack(ideal), _pack(plus)
-    if not gens and not extra:
-        raise ValueError("the zero ideal has infinite colength in every sense")
-    return _dim(_standard_basis_cached(gens, k, extra))
+    return _dim(_standard_basis_cached(_pack(ideal), k, _pack(plus)))
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:

@@ -114,7 +114,9 @@ class TestParsePoly:
     def test_rational_exponent_rejected(self):
         # 4/2 is one rational literal, but an exponent is written as an
         # integer: x^4/2 is not read as x^2, nor x^4/1 as x^4
-        cases = {"x^4/2+y^3": 2, "x^4/1+y^3": 2, "x^ 4/2": 3, "\u00a0x^4/2": 4}
+        cases = {
+            "x^4/2+y^3": 2, "x^4/1+y^3": 2, "x^ 4/2": 3, "\u00a0x^4/2": 4, "x^3/2": 2,
+        }
         for text, offset in cases.items():
             with pytest.raises(ParseError, match="exponent must be a nonnegative integer") as info:
                 parse_poly(text)
@@ -431,8 +433,12 @@ GOLDEN = [
     ('vdim x', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
     ('vdim --mk 2', 'table', 0, '3\n', ''),
     ('vdim --mk 2', 'json', 0, '{"command": "vdim", "inputs": {"gens": [], "plus": [], "mk": 2}, "k": 2, "result": 3, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim 0', 'table', 0, 'infinite\n', ''),
+    ('vdim 0', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["0"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
     ('intersect x^4-y^3 y^5-x^7+x^4*y^4', 'table', 0, '20\n', ''),
     ('intersect x^4-y^3 y^5-x^7+x^4*y^4', 'json', 0, '{"command": "intersect", "inputs": {"f": "x^4-y^3", "g": "y^5-x^7+x^4*y^4"}, "k": null, "result": 20, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('intersect 0 0', 'table', 0, 'infinite\n', ''),
+    ('intersect 0 0', 'json', 0, '{"command": "intersect", "inputs": {"f": "0", "g": "0"}, "k": null, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
     ('milnor --k 3 x^4-y^3', 'table', 0, '17\n', ''),
     ('milnor --k 3 x^4-y^3', 'json', 0, '{"command": "milnor", "inputs": {"f": "x^4-y^3"}, "k": 3, "result": 17, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
     ('milnor x^2', 'table', 0, 'infinite\n', ''),

@@ -109,8 +109,14 @@ class TestCurveInvariants:
             assert milnor_k(Y, k) == (k * k + k) // 2  # m^k j(y) = m^k
 
     def test_zero_and_smooth_degenerations(self):
-        assert milnor_k(Poly.zero(), 0) is INFINITE
-        assert milnor_k(Poly.constant(5), 0) is INFINITE  # jacobian is zero
+        # the engine answers the zero ideal; no invariant tests for it first
+        for k in range(4):
+            assert milnor_k(Poly.zero(), k) is INFINITE
+            assert milnor_k(Poly.constant(5), k) is INFINITE  # jacobian is zero
+            assert tjurina_k(Poly.zero(), k) is INFINITE
+        assert intersection_number(Poly.zero(), Poly.zero()) is INFINITE
+        rep = milnor_report(Poly.zero(), 2)
+        assert rep.computed is INFINITE and rep.closed_form is None
 
     def test_jacobian_ideal(self):
         j = jacobian_ideal(F_RUN)
@@ -341,9 +347,19 @@ class TestWeights:
         w = weighted_homogeneous_weights(X**3 + X * Y**3)
         assert (w.w1, w.w2) == (Fraction(1, 3), Fraction(2, 9))
 
+    def test_single_monomial_gets_the_symmetric_weights(self):
+        w = weighted_homogeneous_weights(X**2 * Y**3)
+        assert (w.w1, w.w2) == (Fraction(1, 5), Fraction(1, 5))
+
     def test_not_weighted_homogeneous(self):
         assert weighted_homogeneous_weights(G_TOP) is None
         assert weighted_homogeneous_weights(F_CEX) is None
+        assert weighted_homogeneous_weights(Poly.one()) is None  # degree 0
+        assert weighted_homogeneous_weights(X**2 + X**4) is None  # collinear
+        # the first two monomials give (1/2, 1), which x*y^5 does not fit
+        assert weighted_homogeneous_weights(X**2 - Y + X * Y**5) is None
+        # y and x*y^3 give w1 = -2: no positive solution
+        assert weighted_homogeneous_weights(Y + X * Y**3) is None
 
 
 class TestChecks:
@@ -400,6 +416,12 @@ class TestChecks:
         assert second_type_milnor_check(
             Foliation(-3 * Y, 2 * X), curve(Y**2 - X**3), 4
         )
+        # mu^k(F) - mu^k(xy) over k = 0..3 is 3, 3, 4, 5
+        F, C = Foliation(X**2, Y**2), curve(X * Y)
+        diffs = [foliation_milnor_k(F, k) - milnor_k(C.f, k) for k in range(4)]
+        assert diffs == [3, 3, 4, 5]
+        assert second_type_milnor_check(F, C, 1)
+        assert not second_type_milnor_check(F, C, 3)
 
     def test_report_consumer(self):
         rep = milnor_report(F_RUN, 2)

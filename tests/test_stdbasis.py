@@ -25,6 +25,7 @@ from folinv.invariants import (
 from folinv.stdbasis import (
     INFINITE,
     Ideal,
+    StandardBasis,
     colength,
     contains,
     ideal_product,
@@ -440,8 +441,7 @@ class TestCaches:
             assert colength(J, 0, P) == colength(J + P) == 20
             assert colength(Ideal(), 3, P) == colength(P) is INFINITE
             assert cached.cache_info()[:2] == (2, 2)
-            with pytest.raises(ValueError):
-                colength(Ideal(), 2)
+            assert colength(Ideal(), 2) is INFINITE
             with pytest.raises(ValueError):
                 colength(J, -1, P)
         finally:
@@ -658,6 +658,16 @@ class TestColength:
 
 class TestDegenerateIdeals:
     """Inputs that defeat a naive Mora loop: common factors and slow staircases."""
+
+    def test_zero_ideal_takes_the_engine_path(self):
+        assert standard_basis(Ideal()) == StandardBasis(())
+        assert standard_basis(Ideal()).elements == ()
+        assert leading_ideal(Ideal()) == ()
+        for k in range(4):
+            assert colength(Ideal(), k) is INFINITE
+            assert colength(Ideal(), k, Ideal()) is INFINITE
+        assert contains(Ideal(), Poly.zero())
+        assert not contains(Ideal(), Poly.one())
 
     def test_common_factor_is_infinite(self):
         g = X + Y + X * Y
