@@ -132,13 +132,14 @@ _NF_STEP_BUDGET = 20000
 _COEFF_BIT_LIMIT = 6000
 # The first time in a run of _std that a walk without a truncation degree
 # has a leading coefficient past _SWELL_BITS, the run asks whether its
-# generators share a factor through the origin.  Census of one `fallback`
-# pass of perfbench at seed 1, with the coefficient limit alone: of the 287
-# walks that succeed, 8 pass 256 bits (7 of them without a truncation
-# degree) and the largest reaches 3 190 bits; the 11 walks that give up,
-# none with a truncation degree, pass 256 bits within 9-30 % of their time
-# and reach _COEFF_BIT_LIMIT after 68-126 steps.  Answered no, the question
-# costs a modular certificate, well under a millisecond on such inputs.
+# generators share a factor through the origin, and when they do not, tries
+# two small caps of capped elimination.  Census of the 209 runs of one
+# `fallback` pass of perfbench at seed 1, pass 0: 195 never reach the mark;
+# of the 14 that do, 9 end on the split, 3 end on cap 8, and 2 are refused
+# caps 4 and 8 and finish on Mora.  No run walks on to _COEFF_BIT_LIMIT,
+# where the 3 runs that cap 8 now settles went after 91-126 steps.  The
+# question costs a modular certificate, well under a millisecond on such
+# inputs, and each small cap about as much.
 _SWELL_BITS = 256
 
 
@@ -300,7 +301,10 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     _SWELL_BITS, or gives up before that.  A walk with a truncation degree
     cannot give up for a shared factor, since m^N lies in the ideal.  The
     question costs the certificate :func:`_coprime` when it is answered no,
-    and an exact gcd only when the certificate fails.
+    and an exact gcd only when the certificate fails.  Answered no at the
+    mark, the run tries capped elimination at caps 4 and 8 (see the closure
+    ``split``); an accepted cap ends the run with its basis, returned as
+    (basis, None), and otherwise the walk goes on.
     """
     G = [list(g) for g in gens]
     reducers = [_reducer(g) for g in G]
@@ -310,10 +314,18 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     heap = []
     chain, xs = [], []  # the chain, and the x-exponents along it
     inputs = G[:]
-    answer = []  # the split below, once asked
+    answer = []  # the split below, once asked, then a basis that a cap settled
 
-    def split() -> "tuple | None":
+    def split(mark: bool = True) -> "tuple | bool | None":
         """The split of the inputs by a shared factor, asked at most once.
+
+        Asked at the swell mark, an answer of no shared factor shows the
+        ideal zero-dimensional, and capped elimination tries caps 4 and 8,
+        the first two caps of the doubling in
+        :func:`_standard_basis_from_gens`.  A cap at or
+        below the least order of the inputs is skipped: elimination has no
+        rows there, so it could not be accepted.  An accepted basis is kept
+        and the result is True, which ends the walk and the run.
 
         Kept in a list, not behind functools.cache: most runs never ask, and
         making a cache wrapper in every run put about 6 % on the median op of
@@ -321,6 +333,12 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
         """
         if not answer:
             answer.append(None if _coprime(inputs) else _split_common_factor(inputs))
+            if mark and answer[0] is None:
+                least = min(t[0][0] for t in inputs) >> _SHIFT
+                for cap in (4, 8):
+                    if cap > least and (basis := _capped_std(inputs, cap)) is not None:
+                        answer.append(basis)
+                        return True
         return answer[0]
 
     def pair(i: int, j: int, neighbours: bool) -> None:
@@ -366,7 +384,9 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
         swelling = None if trunc is not None else split
         r, budget = _mora_nf(s, reducers, trunc, budget, swelling)
         if r is None:
-            parts = split() if trunc is None else None
+            if answer[1:]:
+                return answer[1], None
+            parts = split(False) if trunc is None else None
             return None, _SWELL if parts is None else parts
         if r:
             G.append(r)
@@ -495,9 +515,10 @@ class StandardBasis:
         local ring, and the gcd of the elements that
         :func:`_split_common_factor` finds is g_0 times a unit of the local
         ring.  That is all :func:`contains` needs: I = g*J for the g and the
-        cofactor ideal J of this split.
+        cofactor ideal J of this split.  The empty basis, that of the zero
+        ideal, has no split, and :func:`contains` answers it first.
         """
-        if self._staircase[0] is not None:
+        if self._staircase[0] is not None or not self.packed:
             return None
         g, cofactors = _split_common_factor(self.packed)
         return g, _standard_basis_cached(cofactors)
@@ -856,6 +877,16 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
       steeply with the cap.  c is at most :func:`_colength_bound`, and a cap
       past that bound that is not accepted is a RuntimeError, not a further
       doubling.
+
+    The first two caps of that doubling, 4 and 8, are also the early route
+    inside the run: when a walk first passes _SWELL_BITS and the generators
+    share no factor, :func:`_std` tries them there, and an accepted one
+    returns its basis as a finished run's.  That settles a zero-dimensional
+    ideal with a small staircase in about a millisecond where the walk would
+    run on to _COEFF_BIT_LIMIT.  A larger cap is left to the walk: two runs
+    that Mora finishes in a `fallback` pass of perfbench need cap 16, which
+    costs more than their walks.  A run that is refused both small caps and
+    still gives up comes here and doubles from 4 again.
     """
     internal, reason = _std(packed)
     if internal is None and reason is _SWELL:

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every private top-level function, class or assigned name is referenced in
-the package.
+"""Every name a module of the package imports is used in that module, every
+private top-level function, class or assigned name is referenced in the
+package, and no module imports sympy: the engine computes its exact gcds on
+its own term lists.
 
 ``__init__.py`` is exempt from the first check: it imports names to
 re-export them.  A name counts as used when it appears as a name anywhere
@@ -115,3 +116,32 @@ def test_the_check_sees_an_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level packages a source imports, at any depth of its tree;
+    relative imports left out."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_check_sees_an_import_of_sympy():
+    source = (
+        "import os.path\n"
+        "from . import ring\n"
+        "def f():\n"
+        "    from sympy.polys import gcd\n"
+        "    return gcd\n"
+    )
+    assert imported_modules(source) == {"os", "sympy"}
+    assert imported_modules("import sympy as sp\n") == {"sympy"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_sympy(path):
+    assert "sympy" not in imported_modules(path.read_text())

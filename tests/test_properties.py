@@ -433,6 +433,32 @@ def run_sweep_step_suite(seed=115, target=200):
     return cases, failures
 
 
+def run_koszul_identity_suite(seed=116, target=200):
+    """For a, b coprime at the origin, I = (a, b) is a complete intersection
+    with syzygies generated by (b, -a), and
+
+        colen(m^k I) = colen(I) + k(k+1) - j(j+1)/2,  j = max(k - m0, 0),
+
+    m0 = min(nu(a), nu(b)): tensoring the Koszul resolution with O/m^k
+    leaves (m^k : a) cap (m^k : b) = m^j (Eisenbud 1995, ch. 17).  The
+    docstring of polar_intersection_k relies on it; the engine computes
+    each colength by its sweep over k, not by the identity.
+    """
+    rng = random.Random(seed)
+    cases = failures = 0
+    while cases < target:
+        a, b = _rand_coprime_pair(rng)
+        ideal = Ideal.of(a, b)
+        c0 = colength(ideal)
+        m0 = min(a.multiplicity(), b.multiplicity())
+        for k in range(7):
+            j = max(k - m0, 0)
+            cases += 1
+            if colength(ideal, k) != c0 + k * (k + 1) - j * (j + 1) // 2:
+                failures += 1
+    return cases, failures
+
+
 SUITES = {
     "lemma-3-1": run_lemma_31_suite,
     "lemma-3-2": run_lemma_32_suite,
@@ -449,6 +475,7 @@ SUITES = {
     "tjurina-difference": run_tjurina_difference_suite,
     "nondicritical-tjurina-bound": run_nondicritical_tjurina_bound_suite,
     "gsv-branch-consistency": run_gsv_branch_consistency_suite,
+    "koszul-identity": run_koszul_identity_suite,
 }
 
 
@@ -524,6 +551,11 @@ def test_ratio_theorem():
 
 def test_gsv_branch_consistency():
     cases, failures = run_gsv_branch_consistency_suite()
+    assert cases >= 200 and failures == 0
+
+
+def test_koszul_identity():
+    cases, failures = run_koszul_identity_suite()
     assert cases >= 200 and failures == 0
 
 

@@ -625,7 +625,9 @@ class TestColength:
         # mu^400 of x^5 + y^7 + 2x^2y^3 has 802 generators and needs many
         # short normal forms; the step budget of a run grows with its
         # generators, so the run stays on Mora.  Capped elimination does not
-        # finish on this ideal.
+        # finish on this ideal.  Its walks pass the swell mark, but the run
+        # skips every small cap at or below the least order of its
+        # generators, 400 here, since elimination has no rows there.
         def refuse(*args):
             raise AssertionError("left Mora")
 
@@ -668,6 +670,12 @@ class TestDegenerateIdeals:
             assert colength(Ideal(), k, Ideal()) is INFINITE
         assert contains(Ideal(), Poly.zero())
         assert not contains(Ideal(), Poly.one())
+
+    def test_empty_basis_has_no_split(self):
+        # the staircase of the zero ideal is infinite, but there is no
+        # common factor to split off its empty basis
+        assert standard_basis(Ideal())._factor is None
+        assert StandardBasis(())._factor is None
 
     def test_common_factor_is_infinite(self):
         g = X + Y + X * Y
@@ -974,10 +982,40 @@ A_SWELL = -2 * X - 3 * Y + X**2 * Y**2
 B_SWELL = X - 3 * Y + X * Y**2 + 3 * Y**3
 
 
+# Lemma-3.1 ideals (g*P, g*Q)*m^3 + (f) of perfbench's `fallback` workload,
+# seed 1, pass 0, whose generators share no factor.  A Mora run on either
+# passes the swell mark.  Cap 8 settles the first, colength 7, whose walk
+# went on to the coefficient limit before the run tried small caps; the
+# second, colength 23, needs cap 16, and Mora finishes it.
+SWELL_CAP_8 = Ideal.of(
+    3 * X * Y + X**4 - X**3 * Y - 2 * X**5, 2 * X + 3 * X**2 - 3 * X * Y**3
+) * maximal_ideal_power(3) + Ideal.of(2 * X - 3 * X**2 * Y**2 + 2 * Y**4)
+SWELL_CAP_16 = Ideal.of(
+    9 * X**3 * Y + 3 * X**2 * Y**2 + 9 * X**4 * Y + 3 * X**3 * Y**2 - 6 * X**3 * Y**3
+    - 6 * X**7 - 2 * X**6 * Y - 6 * X**4 * Y**3 + 4 * X**7 * Y**2,
+    3 * X**3 * Y + 9 * X**4 * Y + 15 * X**5 * Y - 2 * X**7 + 9 * X**6 * Y - 4 * X**8 - 6 * X**9,
+) * maximal_ideal_power(3) + Ideal.of(2 * X**2 * Y + 2 * X * Y**2 + X**4 - 2 * Y**5)
+
+
+def _counted_caps(monkeypatch) -> list:
+    """Record (cap, accepted) of every capped elimination from now on."""
+    calls = []
+    capped = stdbasis._capped_std
+
+    def counted(gens, cap):
+        out = capped(gens, cap)
+        calls.append((cap, out is not None))
+        return out
+
+    monkeypatch.setattr(stdbasis, "_capped_std", counted)
+    return calls
+
+
 class TestRouteChoice:
     """A Mora run on shared-factor generators stops at the first sign of swell
-    and takes the split; a run without a shared factor goes on, and if it
-    still gives up, capped elimination runs, with a bounded cap."""
+    and takes the split; a run without a shared factor tries two small caps
+    of capped elimination there and otherwise goes on, and if it still gives
+    up, capped elimination runs, with a bounded cap."""
 
     def test_certificate_refuses_shared_factors(self):
         rng = random.Random(1010)
@@ -1093,6 +1131,76 @@ class TestRouteChoice:
         finally:
             stdbasis._standard_basis_cached.cache_clear()
         assert caps == [4, 8, 16, 32, 33]
+
+    def test_swell_run_ends_at_the_mark_on_a_small_cap(self, monkeypatch):
+        # no shared factor at the mark, and cap 8 is accepted there: the run
+        # ends with that basis and no walk comes near the coefficient limit.
+        # With the mark moved to the limit the walk gives up there instead,
+        # and the doubling from cap 4 gives the same staircase
+        calls = _counted_caps(monkeypatch)
+        bits = []
+        reduce_step = stdbasis._reduce_step
+
+        def measured(h, g):
+            out = reduce_step(h, g)
+            bits.append(max(h[0][1].bit_length(), out[0][1].bit_length() if out else 0))
+            return out
+
+        monkeypatch.setattr(stdbasis, "_reduce_step", measured)
+        packed = tuple(g.prim for g in SWELL_CAP_8.generators)
+        basis, reason = stdbasis._std(packed)
+        assert basis is not None and reason is None
+        assert calls == [(4, False), (8, True)]
+        assert max(bits) < stdbasis._COEFF_BIT_LIMIT
+        early = stdbasis._standard_basis_from_gens(packed)
+
+        monkeypatch.setattr(stdbasis, "_SWELL_BITS", stdbasis._COEFF_BIT_LIMIT)
+        calls.clear()
+        bits.clear()
+        assert stdbasis._std(packed) == (None, stdbasis._SWELL)
+        assert max(bits) > stdbasis._COEFF_BIT_LIMIT and calls == []
+        late = stdbasis._standard_basis_from_gens(packed)
+        assert calls == [(4, False), (8, True)]
+        assert early.leading_monomials == late.leading_monomials
+        gens = list(SWELL_CAP_8.generators)
+        assert stdbasis._dim(early) == stdbasis._dim(late) == oracle_colength(gens, nmax=12) == 7
+
+    def test_an_input_that_needs_cap_16_ends_on_mora(self, monkeypatch):
+        calls = _counted_caps(monkeypatch)
+        packed = tuple(g.prim for g in SWELL_CAP_16.generators)
+        basis, reason = stdbasis._std(packed)
+        assert basis is not None and reason is None
+        assert calls == [(4, False), (8, False)]
+        assert stdbasis._capped_std(packed, 16) is not None
+        sb = StandardBasis(tuple(map(tuple, basis)))
+        gens = list(SWELL_CAP_16.generators)
+        assert stdbasis._dim(sb) == oracle_colength(gens, nmax=25) == 23
+
+    def test_small_caps_are_tried_once_per_run(self, monkeypatch):
+        # with the mark at 0 bits every walk without a truncation degree
+        # reaches it; the run tries the small caps at the first mark only
+        calls = _counted_caps(monkeypatch)
+        marks = []
+        mora_nf = stdbasis._mora_nf
+
+        def counted(h, basis, trunc=None, budget=None, swelling=None, track=False):
+            if swelling is not None:
+                inner = swelling
+
+                def swelling():
+                    marks.append(len(calls))
+                    return inner()
+
+            return mora_nf(h, basis, trunc, budget, swelling, track)
+
+        monkeypatch.setattr(stdbasis, "_mora_nf", counted)
+        monkeypatch.setattr(stdbasis, "_SWELL_BITS", 0)
+        packed = tuple(g.prim for g in SWELL_CAP_16.generators)
+        basis, reason = stdbasis._std(packed)
+        assert reason is None and len(marks) >= 3
+        assert marks[0] == 0 and set(marks[1:]) == {2}
+        assert calls == [(4, False), (8, False)]
+        assert stdbasis._dim(StandardBasis(tuple(map(tuple, basis)))) == 23
 
     def test_non_member_by_a_vanishing_cofactor_takes_no_walk(self, monkeypatch):
         # h*(a, b) against x^4 y^6: h vanishes at the origin and shares
