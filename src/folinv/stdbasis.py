@@ -516,7 +516,7 @@ class StandardBasis:
         :func:`_split_common_factor` finds is g_0 times a unit of the local
         ring.  That is all :func:`contains` needs: I = g*J for the g and the
         cofactor ideal J of this split.  The empty basis, that of the zero
-        ideal, has no split, and :func:`contains` answers it first.
+        ideal, has no split: :func:`contains` walks f against no reducers.
         """
         if self._staircase[0] is not None or not self.packed:
             return None
@@ -834,8 +834,7 @@ def _capped_std(internal_gens: list, cap: int) -> "list | None":
                     c = code + shift
                     if (c >> _SHIFT) < cap:
                         row[c] = coeff
-                if row:
-                    _eliminate_row(row, pivots)
+                _eliminate_row(row, pivots)
     out = list(pivots.values())
     for i in range(cap + 1):
         out.append([(_encode((cap - i, i)), 1)])
@@ -865,8 +864,8 @@ def _colength_bound(gens) -> int:
 def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
     """Standard basis of the ideal of term-list generators.
 
-    The one place where the route is chosen, from the reason a Mora run
-    gives up (see :func:`_std`):
+    The route after a Mora run is chosen here, from the reason it gives up
+    (see :func:`_std`; the small caps inside a run are chosen there):
 
     * a shared factor: a standard basis of g*J is g times one of J, since
       leading monomials multiply, so the cofactors J of the split go back to
@@ -1051,8 +1050,6 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     staircase bound, decides that.  So every walk here is finite by
     construction.
     """
-    if ideal.is_zero:
-        return f.is_zero
     if f.is_zero:
         return True
     sb = standard_basis(ideal)

@@ -340,6 +340,12 @@ class TestExitCodeMatrix:
             main(["milnor", "--k", "-1", "x^2+y^3"])
         assert exc.value.code == 2
 
+    def test_non_integer_k_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["milnor", "x^2", "--k", "abc"])
+        assert exc.value.code == 2
+        assert "'abc' is not an integer" in capsys.readouterr().err
+
 
 class TestInputLimits:
     """Inputs that would run for hours are refused before any computation."""
@@ -505,6 +511,8 @@ GOLDEN = [
     ('check second-type --P=-3*y --Q 2*x --assert-second-type', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check conjecture1 --f x^4-y^3 --k 2', 'table', 0, '11,11,true\n', ''),
     ('check conjecture1 --f x^4-y^3 --k 2', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": [11, 11, true], "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check conjecture1 --f x^3*y+y^5 --k 4', 'table', 0, '24,755/32,true\n', ''),
+    ('check conjecture1 --f x^3*y+y^5 --k 4', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^3*y+y^5"}, "k": 4, "result": [24, "755/32", true], "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
     ('check conjecture1 --P 2*x', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check conjecture1 --P 2*x', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check ratio --f x^4-y^3 --k 2', 'table', 1, '12,11,false\n', ''),

@@ -1,5 +1,6 @@
 """Invariants layer: frozen values, closed forms, preconditions, checks."""
 
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -429,3 +430,59 @@ class TestChecks:
         assert rep.closed_form == 12
         assert rep.agrees is True
         assert rep.name
+
+
+class TestRefusals:
+    """Each refusal that some input reaches, with the message it gives."""
+
+    NOT_INVARIANT = "the curve is not invariant by the foliation"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: milnor_k(F_RUN, -1), "k must be a nonnegative integer"),
+            (lambda: milnor_k(F_RUN, True), "k must be a nonnegative integer"),
+            # the k of the checks is refused by milnor_k and foliation_tjurina_k
+            (lambda: ratio_check(F_RUN, -1), "k must be a nonnegative integer"),
+            (
+                lambda: milnor_bound_check(hamiltonian(F_RUN), curve(F_RUN), -1),
+                "k must be a nonnegative integer",
+            ),
+            (
+                lambda: polar_intersection_k(Foliation(2 * X, 2 * Y), curve(X**2 + Y**3), 1),
+                NOT_INVARIANT,
+            ),
+            (
+                lambda: is_quasihomogeneous_foliation(
+                    Foliation(2 * X, 2 * Y), curve(X**2 + Y**3)
+                ),
+                NOT_INVARIANT,
+            ),
+            (lambda: milnor_k_closed(4, 0, 1), "the multiplicity m must be an integer >= 1"),
+            (lambda: dim_mk_plus_f_closed(0, 1), "the multiplicity m must be an integer >= 1"),
+            (lambda: weighted_homogeneous_weights(Poly.zero()), "the zero germ has no weight type"),
+            (lambda: check_conjecture1(X**2 * Y**3, 1), "the singularity is not isolated"),
+            (lambda: ratio_check(X**2 * Y, 1), "the singularity is not isolated"),
+            (
+                lambda: second_type_milnor_check(Foliation(X, Y), curve(X**2), 1),
+                "the curve singularity is not isolated",
+            ),
+        ],
+        ids=[
+            "milnor-negative-k",
+            "milnor-bool-k",
+            "ratio-negative-k",
+            "bound-negative-k",
+            "polar-not-invariant",
+            "qh-not-invariant",
+            "milnor-closed-m-0",
+            "dim-closed-m-0",
+            "weights-zero",
+            "conjecture1-not-isolated",
+            "ratio-not-isolated",
+            "second-type-not-isolated",
+        ],
+    )
+    def test_refusal_message(self, call, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            call()

@@ -608,3 +608,42 @@ def test_suites_without_mora(monkeypatch, name):
     if len(_FALLBACK_ROUTES) == len(SUITES):
         total = sum(_FALLBACK_ROUTES.values(), Counter())
         assert total["capped"] and total["split"], total
+
+
+# Bases accepted by test_suites_at_the_swell_mark, per suite.
+_SWELL_MARK_ACCEPTED: dict = {}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_at_the_swell_mark(monkeypatch, name):
+    # With the swell mark at 0 bits, every walk without a truncation degree
+    # reaches the mark at its first step, so every run that has such a walk
+    # tries the small caps of _std there; the suites must hold all the same,
+    # and each accepted capped basis has the oracle's colength.
+    accepted = []
+    capped_std = stdbasis._capped_std
+
+    def capped(gens, cap):
+        out = capped_std(gens, cap)
+        if out is not None:
+            accepted.append((gens, out))
+        return out
+
+    monkeypatch.setattr(stdbasis, "_SWELL_BITS", 0)
+    monkeypatch.setattr(stdbasis, "_capped_std", capped)
+    stdbasis._standard_basis_cached.cache_clear()
+    invariants.is_invariant.cache_clear()
+    try:
+        cases, failures = SUITES[name](target=10)
+    finally:
+        stdbasis._standard_basis_cached.cache_clear()
+        invariants.is_invariant.cache_clear()
+    assert cases >= 10 and failures == 0
+    for gens, basis in accepted:
+        c = stdbasis._chain([_decode(t[0][0]) for t in basis])[2]
+        if c <= 40:
+            polys = [stdbasis._to_poly(t) for t in gens]
+            assert oracle_colength(polys, nmax=c + 2) == c, polys
+    _SWELL_MARK_ACCEPTED[name] = len(accepted)
+    if len(_SWELL_MARK_ACCEPTED) == len(SUITES):
+        assert sum(_SWELL_MARK_ACCEPTED.values()), _SWELL_MARK_ACCEPTED

@@ -929,24 +929,28 @@ class TestForcedRoutes:
     def test_zero_budget_sweep(self, routes, monkeypatch):
         # a sweep over k seeds each basis from the one for k - 1, and the
         # zero budget sends every seeded set that needs a reduction to
-        # capped elimination
-        seeded = []
+        # capped elimination; the seeded steps of mu^k and tau^k are counted
+        # apart
+        seeded = {"mu": 0, "tau": 0}
         check = stdbasis._check_step
 
         def counted(prev, sb, gens, k):
-            seeded.append(k)
+            seeded[invariant] += 1
             check(prev, sb, gens, k)
 
         monkeypatch.setattr(stdbasis, "_check_step", counted)
         for f, mu, m in _family():
             jac = Ideal.of(f.partial_x(), f.partial_y())
             for k in range(7):
+                invariant = "mu"
                 assert milnor_k(f, k) == milnor_k_closed(mu, m, k), (f, k)
+                invariant = "tau"
                 tau = tjurina_k(f, k)
                 if k <= 3:
                     gens = list((jac * maximal_ideal_power(k) + Ideal.of(f)).generators)
                     assert tau == oracle_colength(gens, nmax=20), (f, k)
-        assert len(seeded) == 2 * 6 * len(FAMILY)
+        assert seeded["mu"] == 6 * len(FAMILY)
+        assert seeded["tau"] == 6 * len(FAMILY)
         assert routes["capped"] > 0 and routes["split"] == 0
 
     def test_membership_through_a_unit_factor(self, routes):
