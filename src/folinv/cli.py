@@ -307,8 +307,14 @@ class _Parser:
         )
 
 
+@functools.lru_cache(maxsize=128)
 def parse_poly(text: str) -> Poly:
-    """Parse a polynomial expression to a normalized Poly (exact arithmetic)."""
+    """Parse a polynomial expression to a normalized Poly (exact arithmetic).
+
+    Results are cached by text: a scenario batch names few distinct
+    polynomials many times, and a Poly is immutable, so every caller can
+    share one value.  A refused text is not cached and raises on every call.
+    """
     return _Parser(_tokenize(text)).parse()
 
 
@@ -331,11 +337,9 @@ def _json_value(value):
         return None
     if isinstance(value, bool) or isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
-    return str(value)
+    return str(value)  # a Fraction: check conjecture1's bound
 
 
 def _all_finite(value) -> bool:
@@ -594,6 +598,8 @@ VERBS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``folinv`` parser.  Its ``verbs`` maps each verb to the subparser
+    that reads the rest of a command line naming it."""
     parser = argparse.ArgumentParser(
         prog="folinv",
         description=(
@@ -603,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = {}
     for verb, row in VERBS.items():
-        p = sub.add_parser(verb, help=row.help)
+        p = parser.verbs[verb] = sub.add_parser(verb, help=row.help)
         for flags, options in row.args + (_FORMAT,):
             p.add_argument(*flags, **options)
     return parser
@@ -614,6 +621,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later call."""
     return build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Read argv (``sys.argv[1:]`` when None) once.
+
+    A line that starts with a verb is read by that verb's subparser alone, the
+    parser the top-level one would hand the rest of the line to.  Any other
+    line, ``-h`` or an unknown verb among them, goes through the top-level
+    parser.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    subparser = parser.verbs.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.verb = argv[0]
+    return args
 
 
 def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
@@ -626,7 +651,7 @@ def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
     Raises ParseError / PreconditionError for invalid inputs, and SystemExit(2)
     for malformed argument lists (argparse's native behavior).
     """
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     if args.verb == "scenarios":
         if not allow_scenarios:
             raise PreconditionError(

@@ -25,7 +25,8 @@ from pathlib import Path
 
 
 class RegistryError(ValueError):
-    """Malformed registry content or an unknown scenario id."""
+    """An unreadable registry file, malformed registry content or an unknown
+    scenario id."""
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,19 @@ def parse_registry(text: str) -> tuple:
 
 
 def load_registry(path=None) -> tuple:
-    """Load the bundled registry, or the one at ``path`` if given."""
+    """Load the bundled registry, or the one at ``path`` if given.
+
+    A path that cannot be read raises RegistryError.
+    """
     if path is None:
         text = _bundled_registry_text()
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise RegistryError(
+                f"cannot read registry {str(path)!r}: {exc.strerror or exc}"
+            ) from None
     return parse_registry(text)
 
 

@@ -16,6 +16,7 @@ from folinv import cli
 from folinv.cli import ParseError, _tokenize, canonical, evaluate, main, parse_poly
 from folinv.invariants import PreconditionError, milnor_k_closed
 from folinv.ring import Poly, X, Y
+from folinv.scenarios import load_registry
 from folinv.stdbasis import INFINITE
 
 
@@ -145,6 +146,24 @@ class TestParsePoly:
         ]
         for p in corpus:
             assert parse_poly(str(p)) == p
+
+
+class TestParseCache:
+    def test_one_value_per_text(self):
+        parse_poly.cache_clear()
+        first = parse_poly("x^4 - y^3")
+        assert parse_poly("x^4 - y^3") is first
+        assert parse_poly.cache_info().misses == 1
+
+    def test_refused_texts_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ParseError, match="offset 2"):
+                parse_poly("x^")
+            with pytest.raises(PreconditionError, match="terms times bits"):
+                parse_poly("(x+y)^100000")
+
+    def test_cache_is_bounded(self):
+        assert parse_poly.cache_info().maxsize is not None
 
 
 class TestCanonical:
@@ -346,6 +365,40 @@ class TestExitCodeMatrix:
         assert exc.value.code == 2
         assert "'abc' is not an integer" in capsys.readouterr().err
 
+    def test_unrecognized_option_names_the_verb(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["milnor", "x^2", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "folinv milnor: error: unrecognized arguments: --bogus" in err
+
+    def test_empty_argv_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+
+
+class TestArgv:
+    """A line naming a verb is read once, by that verb's subparser."""
+
+    @pytest.mark.parametrize(
+        "argv", [pytest.param(shlex.split(sc.expression), id=sc.id) for sc in load_registry()]
+    )
+    def test_scenario_namespaces_match_the_top_level_parser(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(cli._parser().parse_args(argv))
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(verb in out for verb in cli.VERBS)
+
+    def test_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["folinv", "milnor", "x^2+y^3"])
+        assert main() == 0
+        assert capsys.readouterr().out == "2\n"
+
 
 class TestInputLimits:
     """Inputs that would run for hours are refused before any computation."""
@@ -408,12 +461,14 @@ class TestInputLimits:
                 for _, c in p.terms
             )
             monkeypatch.setattr(cli, "_SIZE_BUDGET", len(p.terms) * bits - 1)
+            cli.parse_poly.cache_clear()
             with pytest.raises(PreconditionError, match="terms times bits"):
                 parse_poly(text)
             monkeypatch.undo()
 
     def test_products_share_the_budget(self, monkeypatch):
         monkeypatch.setattr(cli, "_SIZE_BUDGET", 100)
+        cli.parse_poly.cache_clear()
         assert parse_poly("(x+y)^5") == (X + Y) ** 5
         with pytest.raises(PreconditionError, match="'\\*' at byte offset 7"):
             parse_poly("(x+y)^5*(x-y)^5")
@@ -603,6 +658,14 @@ class TestScenariosVerb:
         assert code == 0
         assert len(objs) == 212
         assert all(set(o) == {"id", "location", "description"} for o in objs)
+
+    @pytest.mark.parametrize("name, reason", [("missing.txt", "No such file"), ("", "Is a directory")])
+    def test_unreadable_registry_is_2(self, capsys, tmp_path, name, reason):
+        path = str(tmp_path / name)
+        code, out, err = run_cli(capsys, "scenarios", "run", "--all", "--registry", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read registry {path!r}: {reason}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_list_with_custom_registry(self, capsys, tmp_path):
         reg = tmp_path / "reg.txt"

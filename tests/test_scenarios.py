@@ -54,6 +54,11 @@ class TestParseRegistry:
         p.write_text(VALID_TEXT, encoding="utf-8")
         assert [sc.id for sc in load_registry(p)] == ["a-first", "b-second"]
 
+    def test_unreadable_path_is_a_registry_error(self, tmp_path):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            with pytest.raises(RegistryError, match="cannot read registry"):
+                load_registry(path)
+
 
 class TestBundledRegistry:
     def setup_method(self):
