@@ -9,7 +9,7 @@ refused before it is computed when a bound on its size, terms times
 coefficient bits, exceeds 10^6; for a single term that is the bits of its
 coefficient, so ``2^1000000`` is refused.
 
-Orders (``--k``, ``--mk``, ``--k-max``) and ``--samples`` are at most 100.
+Orders (``--k``, ``--mk``, ``--k-max``) are at most 100.
 
 Exit codes: 0 for success (including boolean results of ``true``), 1 for a
 ``false``/failed check or any failed scenario, 2 for input errors (bad
@@ -17,7 +17,7 @@ arguments, unparsable polynomials, violated preconditions).
 
 Output: ``--format table`` (default) prints bare values, with infinite
 colengths as the token ``infinite``; ``--format json`` emits one object with
-keys {command, inputs, k, result, finite, seed, elapsed_ms}.
+keys {command, inputs, k, result, finite, elapsed_ms}.
 """
 
 from __future__ import annotations
@@ -358,7 +358,6 @@ class Outcome:
     inputs: dict
     k: "int | None"
     result: object
-    seed: "int | None" = None
     reports: "tuple | None" = None
     summary: "dict | None" = None
     fmt: str = "table"
@@ -380,14 +379,13 @@ class Outcome:
 # -- command table ------------------------------------------------------------
 
 
-# Orders and sample counts beyond this run for minutes to hours: mu^1000 of
-# x^5+y^7+2x^2y^3 did not finish in two minutes on 2 cores, and every sample
-# is one more colength.
+# Orders beyond this run for minutes to hours: mu^1000 of x^5+y^7+2x^2y^3 did
+# not finish in two minutes on 2 cores.
 _COUNT_CAP = 100
 
 
 def _nonneg(text: str) -> int:
-    """An argparse type for orders and sample counts: an integer in 0.._COUNT_CAP."""
+    """An argparse type for orders: an integer in 0.._COUNT_CAP."""
     try:
         value = int(text)
     except ValueError:
@@ -408,8 +406,6 @@ _K = _arg("--k", type=_nonneg, default=0, help="order k (default 0)")
 _FORMAT = _arg(
     "--format", choices=("table", "json"), default="table", help="output format"
 )
-_SAMPLES = _arg("--samples", type=_nonneg, default=3)
-_SEED = _arg("--seed", type=int, default=0)
 _FOLIATION = (_arg("--P", required=True), _arg("--Q", required=True))
 _FOLIATION_CURVE = _FOLIATION + (_arg("--f", required=True),)
 _PQF = ("P", "Q", "f")
@@ -420,12 +416,11 @@ class _Row:
     """One verb or one check name: its arguments and how it is evaluated.
 
     ``run`` maps the parsed arguments to the result; it reads the reported
-    order as ``args.k`` and the seed as ``args.seed``.  ``inputs`` are the
-    arguments echoed in the JSON ``inputs``, in order, and each must be given
-    (argparse leaves a check's arguments optional); they are echoed as copies,
-    as a list default belongs to the shared parser.  ``k`` gives the reported
-    order, by default ``--k`` where the verb takes one.  Verbs that take
-    ``--seed`` report a seed.  ``gate`` is the ``--assert-...`` flag the row
+    order as ``args.k``.  ``inputs`` are the arguments echoed in the JSON
+    ``inputs``, in order, and each must be given (argparse leaves a check's
+    arguments optional); they are echoed as copies, as a list default belongs
+    to the shared parser.  ``k`` gives the reported order, by default ``--k``
+    where the verb takes one.  ``gate`` is the ``--assert-...`` flag the row
     requires and the hypothesis it vouches for, named when the flag is missing.
     """
 
@@ -454,10 +449,7 @@ def _vdim(args):
 
 def _teissier(args) -> bool:
     f = parse_poly(args.f)
-    return all(
-        teissier_k_check(f, k, samples=args.samples, seed=args.seed)
-        for k in range(args.k + 1)
-    )
+    return all(teissier_k_check(f, k) for k in range(args.k + 1))
 
 
 def _bound(args) -> bool:
@@ -483,9 +475,7 @@ CHECKS = {
     ),
     "teissier-k": _Row(_teissier, inputs=("f",), k=_k_max),
     "polar-gsv": _Row(
-        lambda a: polar_gsv_check(
-            _foliation(a), _curve(a), a.k, samples=a.samples, seed=a.seed
-        ),
+        lambda a: polar_gsv_check(_foliation(a), _curve(a), a.k),
         inputs=_PQF, k=_k_max,
         gate=("assert-second-type", "non-dicritical second-type hypothesis"),
     ),
@@ -548,11 +538,9 @@ VERBS = {
         _FOLIATION_CURVE, inputs=_PQF,
     ),
     "polar": _Row(
-        lambda a: polar_intersection_k(
-            _foliation(a), _curve(a), a.k, samples=a.samples, seed=a.seed
-        ),
+        lambda a: polar_intersection_k(_foliation(a), _curve(a), a.k),
         "k-th polar intersection number at a generic direction",
-        _FOLIATION_CURVE + (_SAMPLES, _SEED, _K), inputs=_PQF + ("samples",),
+        _FOLIATION_CURVE + (_K,), inputs=_PQF,
     ),
     "invariant": _Row(
         lambda a: is_invariant(_foliation(a), _curve(a)),
@@ -572,8 +560,6 @@ VERBS = {
             _arg("--Q"),
             _arg("--f"),
             _arg("--k-max", type=_nonneg, default=None, dest="k_max"),
-            _SAMPLES,
-            _SEED,
             _arg(
                 "--assert-second-type", action="store_true",
                 help="assert the foliation is of second type (required by some checks)",
@@ -597,10 +583,27 @@ VERBS = {
 }
 
 
+class UsageError(ValueError):
+    """An argument list the parser refuses, with argparse's message; ``parser``
+    is the parser or verb subparser that refused it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError where argparse would print
+    the usage and exit, so a scenario row can report the reason."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``folinv`` parser.  Its ``verbs`` maps each verb to the subparser
     that reads the rest of a command line naming it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="folinv",
         description=(
             "Exact invariants of plane-curve and foliation germs at the origin: "
@@ -645,11 +648,9 @@ def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
     """Parse argv and run the command, returning the raw outcome.
 
     ``allow_scenarios=False`` is scenario mode: the scenarios verb is refused.
-    ``--seed`` is echoed as given; it only picks where the walk over polar
-    directions starts, so no value depends on it.
 
-    Raises ParseError / PreconditionError for invalid inputs, and SystemExit(2)
-    for malformed argument lists (argparse's native behavior).
+    Raises ParseError / PreconditionError for invalid inputs, and UsageError
+    for malformed argument lists.
     """
     args = _parse_args(argv)
     if args.verb == "scenarios":
@@ -679,9 +680,7 @@ def _evaluate_row(command: str, row: _Row, args) -> Outcome:
             )
     args.k = row.k(args) if row.k else getattr(args, "k", None)
     inputs = {name: copy.copy(getattr(args, name)) for name in row.inputs}
-    return Outcome(
-        command, inputs, args.k, row.run(args), seed=getattr(args, "seed", None)
-    )
+    return Outcome(command, inputs, args.k, row.run(args))
 
 
 def _evaluate_scenarios(args) -> Outcome:
@@ -751,7 +750,6 @@ def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
                 "k": outcome.k,
                 "result": _json_value(outcome.result),
                 "finite": outcome.finite,
-                "seed": outcome.seed,
                 "elapsed_ms": elapsed_ms,
             }
         )
@@ -762,6 +760,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         outcome = evaluate(argv)
+    except UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        exc.parser.exit(2, f"{exc.parser.prog}: error: {exc}\n")
     except ValueError as exc:  # includes ParseError and PreconditionError
         print(f"error: {exc}", file=sys.stderr)
         return 2

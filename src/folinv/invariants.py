@@ -251,26 +251,23 @@ _BOX.sort(key=lambda d: (max(abs(d[0]), abs(d[1])), d))
 _DIRECTIONS = len(_BOX)
 
 
-def _polars(F: Foliation, seed: int):
-    """The polars a*P + b*Q with nu = nu(F), walking _BOX from position seed % 512."""
+def _polars(F: Foliation):
+    """The polars a*P + b*Q with nu = nu(F), in the order of _BOX."""
     nu = F.multiplicity
-    start = seed % _DIRECTIONS
-    for a, b in _BOX[start:] + _BOX[:start]:
+    for a, b in _BOX:
         p = a * F.P + b * F.Q
         if not p.is_zero and p.multiplicity() == nu:
             yield p
 
 
-def polar_intersection_k(
-    F: Foliation, C: CurveGerm, k: int, samples: int = 3, seed: int = 0
-):
+def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
     """i^k of the polar curve of F against C: dim O/((aP+bQ, f) * m^k) at generic (a:b).
 
-    Walks the directions of the box [-20, 20]^2 cyclically from position
-    ``seed % 512`` and keeps the first max(``samples``, nu(f) + 1) with
-    nu(a*P + b*Q) = nu(F); at most one direction fails that, the one where
-    the degree-nu parts of P and Q cancel.  Then it returns i^k of a kept
-    polar p with the least i^0 = i(p, f).  That is the generic value:
+    Walks the directions of the box [-20, 20]^2 from position 0, lowest
+    height first, and keeps the first nu(f) + 1 with nu(a*P + b*Q) = nu(F);
+    at most one direction fails that, the one where the degree-nu parts of
+    P and Q cancel.  Then it returns i^k of a kept polar p with the least
+    i^0 = i(p, f).  That is the generic value:
 
     * along each branch of f, the order of (aP + bQ) restricted to the branch
       exceeds its generic value for at most one (a:b), and f has at most
@@ -279,18 +276,12 @@ def polar_intersection_k(
     * (p, f) is a complete intersection, so i^k is fixed by i^0 and
       min(nu(p), nu(f)), and grows with i^0 (the Koszul identity; Eisenbud
       1995, ch. 17); every kept p has nu(p) = nu(F).
-
-    The seed only chooses where the walk starts; no value depends on it.
     """
     _natural(k, "k")
-    if samples < 3:
-        raise PreconditionError("at least 3 direction samples are required")
-    if samples > _DIRECTIONS:
-        raise PreconditionError(f"at most {_DIRECTIONS} direction samples can be drawn")
     if not is_invariant(F, C):
         raise PreconditionError("the curve is not invariant by the foliation")
-    needed = max(samples, C.f.multiplicity() + 1)
-    polars = list(islice(_polars(F, seed), needed))
+    needed = C.f.multiplicity() + 1
+    polars = list(islice(_polars(F), needed))
     if len(polars) < needed:
         raise PreconditionError(
             f"{needed} directions are needed, but only {len(polars)} of the"
@@ -484,19 +475,17 @@ def gsv_theorem_check(F: Foliation, C: CurveGerm, k_max: int) -> bool:
     return True
 
 
-def teissier_k_check(f: Poly, k: int, samples: int = 3, seed: int = 0) -> bool:
+def teissier_k_check(f: Poly, k: int) -> bool:
     """i^k of the polar of df against {f=0} equals mu^k(f) + nu(f) - 1."""
     _natural(k, "k")
     F = hamiltonian(f)
     C = curve(f)
-    i_k = polar_intersection_k(F, C, k, samples=samples, seed=seed)
+    i_k = polar_intersection_k(F, C, k)
     mu = milnor_k(f, k)
     return i_k == mu + multiplicity(f) - 1
 
 
-def polar_gsv_check(
-    F: Foliation, C: CurveGerm, k_max: int, samples: int = 3, seed: int = 0
-) -> bool:
+def polar_gsv_check(F: Foliation, C: CurveGerm, k_max: int) -> bool:
     """i^k(polar of F) - i^k(polar of df) is constant in k and equals the GSV index.
 
     Valid for non-dicritical second-type foliations whose total separatrix
@@ -506,8 +495,8 @@ def polar_gsv_check(
     g = gsv_index(F, C)
     Fd = hamiltonian(C.f)
     for k in range(k_max + 1):
-        i_f = polar_intersection_k(F, C, k, samples=samples, seed=seed)
-        i_d = polar_intersection_k(Fd, C, k, samples=samples, seed=seed)
+        i_f = polar_intersection_k(F, C, k)
+        i_d = polar_intersection_k(Fd, C, k)
         if i_f - i_d != g:
             return False
     return True

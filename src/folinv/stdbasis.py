@@ -439,10 +439,6 @@ class Ideal:
     def of(cls, *polys: Poly) -> "Ideal":
         return cls(tuple(polys))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def __add__(self, other: "Ideal") -> "Ideal":
         return Ideal(self.generators + other.generators)
 

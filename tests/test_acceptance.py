@@ -104,16 +104,16 @@ def test_teissier_polar(capsys):
     ok = True
     for f in (X**2 + Y**2, X**4 - Y**3, X**5 + Y**5 + X**3 * Y**3):
         for k in range(7):
-            ok &= teissier_k_check(f, k, seed=1)
+            ok &= teissier_k_check(f, k)
     f = X**2 + Y**2
     F, C = hamiltonian(f), curve(f)
     ok &= milnor_k(f, 0) == 1
-    ok &= polar_intersection_k(F, C, 0, seed=1) == 2
+    ok &= polar_intersection_k(F, C, 0) == 2
     for k in range(6):
         mu = (k + 1) * (k + 2) // 2
         ok &= milnor_k(f, k) == mu
         ok &= tjurina_k(f, k) == 2 * k + 1
-        ok &= polar_intersection_k(F, C, k, seed=1) == mu + 1
+        ok &= polar_intersection_k(F, C, k) == mu + 1
     _report(capsys, "teissier-polar", ok, time.perf_counter() - start, 20.0)
 
 

@@ -263,7 +263,7 @@ class TestDispatch:
         obj = json.loads(out)
         assert code == 0
         assert list(obj.keys()) == [
-            "command", "inputs", "k", "result", "finite", "seed", "elapsed_ms",
+            "command", "inputs", "k", "result", "finite", "elapsed_ms",
         ]
         assert obj["command"] == "milnor"
         assert obj["k"] == 8
@@ -278,23 +278,14 @@ class TestDispatch:
         assert json.loads(out)["result"] == [12, 11, False]
         assert code == 1
 
-    def test_seed_flag_in_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "polar", "--P", "2*x", "--Q", "2*y", "--f", "x^2+y^2",
-            "--k", "0", "--seed", "3", "--format", "json",
-        )
-        obj = json.loads(out)
-        assert (code, obj["seed"], obj["result"]) == (0, 3, 2)
-
     def test_environment_does_not_set_the_seed(self, capsys, monkeypatch):
         for env in ("17", "abc"):
             monkeypatch.setenv("FOLINV_SEED", env)
             code, out, _ = run_cli(
                 capsys, "polar", "--P", "2*x", "--Q", "2*y", "--f", "x^2+y^2",
-                "--seed", "3", "--format", "json",
+                "--format", "json",
             )
-            obj = json.loads(out)
-            assert (code, obj["seed"], obj["result"]) == (0, 3, 2), env
+            assert (code, json.loads(out)["result"]) == (0, 2), env
 
 
 class TestExitCodeMatrix:
@@ -409,7 +400,7 @@ class TestInputLimits:
             ["milnor", "x^2+y^3", "--k", "101"],
             ["vdim", "x", "--mk", "101"],
             ["check", "ratio", "--f", "x^3+y^4", "--k-max", "101"],
-            ["polar", "--P", "x", "--Q", "y", "--f", "x", "--samples", "101"],
+            ["polar", "--P", "x", "--Q", "y", "--f", "x", "--k", "101"],
         ],
     )
     def test_counts_above_the_cap_are_2(self, capsys, argv):
@@ -482,96 +473,96 @@ bad | fails | section-1 | milnor x^2+y^3 | 3
 
 
 # Every verb and every check name in both formats: exit code, stdout with
-# elapsed_ms masked, and stderr.  A case run with --plus, --seed or an
-# --assert-... flag is followed by one without it, so a value carried over
-# between calls that share one parser shows up as a changed output.
+# elapsed_ms masked, and stderr.  A case run with --plus or an --assert-...
+# flag is followed by one without it, so a value carried over between calls
+# that share one parser shows up as a changed output.
 GOLDEN = [
     ('vdim x^4-y^3 y^5-x^7+x^4*y^4 --mk 4', 'table', 0, '39\n', ''),
-    ('vdim x^4-y^3 y^5-x^7+x^4*y^4 --mk 4', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x^4-y^3", "y^5-x^7+x^4*y^4"], "plus": [], "mk": 4}, "k": 4, "result": 39, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim x^4-y^3 y^5-x^7+x^4*y^4 --mk 4', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x^4-y^3", "y^5-x^7+x^4*y^4"], "plus": [], "mk": 4}, "k": 4, "result": 39, "finite": true, "elapsed_ms": 0}\n', ''),
     ('vdim x --plus y^2', 'table', 0, '2\n', ''),
-    ('vdim x --plus y^2', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x"], "plus": ["y^2"], "mk": 0}, "k": 0, "result": 2, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim x --plus y^2', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x"], "plus": ["y^2"], "mk": 0}, "k": 0, "result": 2, "finite": true, "elapsed_ms": 0}\n', ''),
     ('vdim x', 'table', 0, 'infinite\n', ''),
-    ('vdim x', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim x', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["x"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "elapsed_ms": 0}\n', ''),
     ('vdim --mk 2', 'table', 0, '3\n', ''),
-    ('vdim --mk 2', 'json', 0, '{"command": "vdim", "inputs": {"gens": [], "plus": [], "mk": 2}, "k": 2, "result": 3, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim --mk 2', 'json', 0, '{"command": "vdim", "inputs": {"gens": [], "plus": [], "mk": 2}, "k": 2, "result": 3, "finite": true, "elapsed_ms": 0}\n', ''),
     ('vdim 0', 'table', 0, 'infinite\n', ''),
-    ('vdim 0', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["0"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('vdim 0', 'json', 0, '{"command": "vdim", "inputs": {"gens": ["0"], "plus": [], "mk": 0}, "k": 0, "result": null, "finite": false, "elapsed_ms": 0}\n', ''),
     ('intersect x^4-y^3 y^5-x^7+x^4*y^4', 'table', 0, '20\n', ''),
-    ('intersect x^4-y^3 y^5-x^7+x^4*y^4', 'json', 0, '{"command": "intersect", "inputs": {"f": "x^4-y^3", "g": "y^5-x^7+x^4*y^4"}, "k": null, "result": 20, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('intersect x^4-y^3 y^5-x^7+x^4*y^4', 'json', 0, '{"command": "intersect", "inputs": {"f": "x^4-y^3", "g": "y^5-x^7+x^4*y^4"}, "k": null, "result": 20, "finite": true, "elapsed_ms": 0}\n', ''),
     ('intersect 0 0', 'table', 0, 'infinite\n', ''),
-    ('intersect 0 0', 'json', 0, '{"command": "intersect", "inputs": {"f": "0", "g": "0"}, "k": null, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('intersect 0 0', 'json', 0, '{"command": "intersect", "inputs": {"f": "0", "g": "0"}, "k": null, "result": null, "finite": false, "elapsed_ms": 0}\n', ''),
     ('milnor --k 3 x^4-y^3', 'table', 0, '17\n', ''),
-    ('milnor --k 3 x^4-y^3', 'json', 0, '{"command": "milnor", "inputs": {"f": "x^4-y^3"}, "k": 3, "result": 17, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('milnor --k 3 x^4-y^3', 'json', 0, '{"command": "milnor", "inputs": {"f": "x^4-y^3"}, "k": 3, "result": 17, "finite": true, "elapsed_ms": 0}\n', ''),
     ('milnor x^2', 'table', 0, 'infinite\n', ''),
-    ('milnor x^2', 'json', 0, '{"command": "milnor", "inputs": {"f": "x^2"}, "k": 0, "result": null, "finite": false, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('milnor x^2', 'json', 0, '{"command": "milnor", "inputs": {"f": "x^2"}, "k": 0, "result": null, "finite": false, "elapsed_ms": 0}\n', ''),
     ('milnor x^', 'table', 2, '', 'error: syntax error at byte offset 2: exponent must be a nonnegative integer; expected integer exponent\n'),
     ('milnor x^', 'json', 2, '', 'error: syntax error at byte offset 2: exponent must be a nonnegative integer; expected integer exponent\n'),
     ('tjurina --k 2 x^4-y^3', 'table', 0, '11\n', ''),
-    ('tjurina --k 2 x^4-y^3', 'json', 0, '{"command": "tjurina", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": 11, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('tjurina --k 2 x^4-y^3', 'json', 0, '{"command": "tjurina", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": 11, "finite": true, "elapsed_ms": 0}\n', ''),
     ('fol-milnor --P=-3*y --Q 2*x --k 2', 'table', 0, '6\n', ''),
-    ('fol-milnor --P=-3*y --Q 2*x --k 2', 'json', 0, '{"command": "fol-milnor", "inputs": {"P": "-3*y", "Q": "2*x"}, "k": 2, "result": 6, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('fol-milnor --P=-3*y --Q 2*x --k 2', 'json', 0, '{"command": "fol-milnor", "inputs": {"P": "-3*y", "Q": "2*x"}, "k": 2, "result": 6, "finite": true, "elapsed_ms": 0}\n', ''),
     ('fol-tjurina --P 4*x*y --Q y-2*x^2 --f y --k 3', 'table', 0, '5\n', ''),
-    ('fol-tjurina --P 4*x*y --Q y-2*x^2 --f y --k 3', 'json', 0, '{"command": "fol-tjurina", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 3, "result": 5, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('fol-tjurina --P 4*x*y --Q y-2*x^2 --f y --k 3', 'json', 0, '{"command": "fol-tjurina", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 3, "result": 5, "finite": true, "elapsed_ms": 0}\n', ''),
     ('gsv --P 4*x*y --Q y-2*x^2 --f y', 'table', 0, '2\n', ''),
-    ('gsv --P 4*x*y --Q y-2*x^2 --f y', 'json', 0, '{"command": "gsv", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": null, "result": 2, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('gsv --P 4*x*y --Q y-2*x^2 --f y', 'json', 0, '{"command": "gsv", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": null, "result": 2, "finite": true, "elapsed_ms": 0}\n', ''),
     ('gsv --P 4*x*y --Q y-2*x^2 --f x', 'table', 2, '', 'error: the curve is not invariant by the foliation\n'),
     ('gsv --P 4*x*y --Q y-2*x^2 --f x', 'json', 2, '', 'error: the curve is not invariant by the foliation\n'),
-    ('polar --P 2*x --Q 2*y --f x^2+y^2 --k 1 --seed 1', 'table', 0, '4\n', ''),
-    ('polar --P 2*x --Q 2*y --f x^2+y^2 --k 1 --seed 1', 'json', 0, '{"command": "polar", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2", "samples": 3}, "k": 1, "result": 4, "finite": true, "seed": 1, "elapsed_ms": 0}\n', ''),
+    ('polar --P 2*x --Q 2*y --f x^2+y^2 --k 1', 'table', 0, '4\n', ''),
+    ('polar --P 2*x --Q 2*y --f x^2+y^2 --k 1', 'json', 0, '{"command": "polar", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2"}, "k": 1, "result": 4, "finite": true, "elapsed_ms": 0}\n', ''),
     ('polar --P 2*x --Q 2*y --f x^2+y^2', 'table', 0, '2\n', ''),
-    ('polar --P 2*x --Q 2*y --f x^2+y^2', 'json', 0, '{"command": "polar", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2", "samples": 3}, "k": 0, "result": 2, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('polar --P 2*x --Q 2*y --f x^2+y^2', 'json', 0, '{"command": "polar", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2"}, "k": 0, "result": 2, "finite": true, "elapsed_ms": 0}\n', ''),
     ('invariant --P 4*x*y --Q y-2*x^2 --f y', 'table', 0, 'true\n', ''),
-    ('invariant --P 4*x*y --Q y-2*x^2 --f y', 'json', 0, '{"command": "invariant", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": null, "result": true, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('invariant --P 4*x*y --Q y-2*x^2 --f y', 'json', 0, '{"command": "invariant", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": null, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('invariant --P 4*x*y --Q y-2*x^2 --f x', 'table', 1, 'false\n', ''),
-    ('invariant --P 4*x*y --Q y-2*x^2 --f x', 'json', 1, '{"command": "invariant", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "x"}, "k": null, "result": false, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('invariant --P 4*x*y --Q y-2*x^2 --f x', 'json', 1, '{"command": "invariant", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "x"}, "k": null, "result": false, "finite": true, "elapsed_ms": 0}\n', ''),
     ('qh-check --P=-3*y --Q 2*x --f y^2-x^3', 'table', 0, 'true\n', ''),
-    ('qh-check --P=-3*y --Q 2*x --f y^2-x^3', 'json', 0, '{"command": "qh-check", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": null, "result": true, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('qh-check --P=-3*y --Q 2*x --f y^2-x^3', 'json', 0, '{"command": "qh-check", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": null, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('qh-check --P=-7*x^6+5*x^4*y --Q 3*y^2+x^5 --f y^3-x^7+x^5*y', 'table', 1, 'false\n', ''),
-    ('qh-check --P=-7*x^6+5*x^4*y --Q 3*y^2+x^5 --f y^3-x^7+x^5*y', 'json', 1, '{"command": "qh-check", "inputs": {"P": "-7*x^6+5*x^4*y", "Q": "3*y^2+x^5", "f": "y^3-x^7+x^5*y"}, "k": null, "result": false, "finite": true, "seed": null, "elapsed_ms": 0}\n', ''),
+    ('qh-check --P=-7*x^6+5*x^4*y --Q 3*y^2+x^5 --f y^3-x^7+x^5*y', 'json', 1, '{"command": "qh-check", "inputs": {"P": "-7*x^6+5*x^4*y", "Q": "3*y^2+x^5", "f": "y^3-x^7+x^5*y"}, "k": null, "result": false, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k-max 2', 'table', 0, 'true\n', ''),
-    ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k-max 2', 'json', 0, '{"command": "check gsv-theorem", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 2, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k-max 2', 'json', 0, '{"command": "check gsv-theorem", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k 1', 'table', 0, 'true\n', ''),
-    ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k 1', 'json', 0, '{"command": "check gsv-theorem", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 1, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k 1', 'json', 0, '{"command": "check gsv-theorem", "inputs": {"P": "4*x*y", "Q": "y-2*x^2", "f": "y"}, "k": 1, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check gsv-theorem --Q y-2*x^2 --f y', 'table', 2, '', 'error: --P is required for this command\n'),
     ('check gsv-theorem --Q y-2*x^2 --f y', 'json', 2, '', 'error: --P is required for this command\n'),
-    ('check teissier-k --f x^4-y^3 --k-max 2 --seed 1', 'table', 0, 'true\n', ''),
-    ('check teissier-k --f x^4-y^3 --k-max 2 --seed 1', 'json', 0, '{"command": "check teissier-k", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": true, "finite": true, "seed": 1, "elapsed_ms": 0}\n', ''),
+    ('check teissier-k --f x^4-y^3 --k-max 2', 'table', 0, 'true\n', ''),
+    ('check teissier-k --f x^4-y^3 --k-max 2', 'json', 0, '{"command": "check teissier-k", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check teissier-k --k-max 2', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check teissier-k --k-max 2', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check polar-gsv --P=-2*y --Q 3*x --f y^3-x^2 --k-max 2 --assert-second-type', 'table', 0, 'true\n', ''),
-    ('check polar-gsv --P=-2*y --Q 3*x --f y^3-x^2 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check polar-gsv", "inputs": {"P": "-2*y", "Q": "3*x", "f": "y^3-x^2"}, "k": 2, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check polar-gsv --P=-2*y --Q 3*x --f y^3-x^2 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check polar-gsv", "inputs": {"P": "-2*y", "Q": "3*x", "f": "y^3-x^2"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check polar-gsv --P=-2*y --Q 3*x --f y^3-x^2 --k-max 2', 'table', 2, '', 'error: check polar-gsv requires --assert-second-type (non-dicritical second-type hypothesis is not decidable here)\n'),
     ('check polar-gsv --P=-2*y --Q 3*x --f y^3-x^2 --k-max 2', 'json', 2, '', 'error: check polar-gsv requires --assert-second-type (non-dicritical second-type hypothesis is not decidable here)\n'),
     ('check polar-gsv --P=-2*y --f y^3-x^2 --assert-second-type', 'table', 2, '', 'error: --Q is required for this command\n'),
     ('check polar-gsv --P=-2*y --f y^3-x^2 --assert-second-type', 'json', 2, '', 'error: --Q is required for this command\n'),
     ('check bound --P 2*x --Q 2*y --f x^2+y^2 --k-max 2 --assert-second-type', 'table', 0, 'true\n', ''),
-    ('check bound --P 2*x --Q 2*y --f x^2+y^2 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check bound", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2"}, "k": 2, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check bound --P 2*x --Q 2*y --f x^2+y^2 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check bound", "inputs": {"P": "2*x", "Q": "2*y", "f": "x^2+y^2"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check bound --P 2*x --Q 2*y --f x^2+y^2 --k-max 2', 'table', 2, '', 'error: check bound requires --assert-second-type (the balanced-divisor hypothesis is not decidable here)\n'),
     ('check bound --P 2*x --Q 2*y --f x^2+y^2 --k-max 2', 'json', 2, '', 'error: check bound requires --assert-second-type (the balanced-divisor hypothesis is not decidable here)\n'),
     ('check bound --P 2*x --Q 2*y', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check bound --P 2*x --Q 2*y', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-generalized-curve', 'table', 0, 'true\n', ''),
-    ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-generalized-curve', 'json', 0, '{"command": "check qh-identity", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 2, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-generalized-curve', 'json', 0, '{"command": "check qh-identity", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --assert-generalized-curve', 'table', 0, 'true\n', ''),
-    ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --assert-generalized-curve', 'json', 0, '{"command": "check qh-identity", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 1, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --assert-generalized-curve', 'json', 0, '{"command": "check qh-identity", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 1, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2', 'table', 2, '', 'error: check qh-identity requires --assert-generalized-curve (the generalized-curve hypothesis is not decidable here)\n'),
     ('check qh-identity --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2', 'json', 2, '', 'error: check qh-identity requires --assert-generalized-curve (the generalized-curve hypothesis is not decidable here)\n'),
     ('check qh-identity --f y^2-x^3 --assert-generalized-curve', 'table', 2, '', 'error: --P is required for this command\n'),
     ('check qh-identity --f y^2-x^3 --assert-generalized-curve', 'json', 2, '', 'error: --P is required for this command\n'),
     ('check second-type --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-second-type', 'table', 0, 'true\n', ''),
-    ('check second-type --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check second-type", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 2, "result": true, "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check second-type --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2 --assert-second-type', 'json', 0, '{"command": "check second-type", "inputs": {"P": "-3*y", "Q": "2*x", "f": "y^2-x^3"}, "k": 2, "result": true, "finite": true, "elapsed_ms": 0}\n', ''),
     ('check second-type --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2', 'table', 2, '', 'error: check second-type requires --assert-second-type (second-type hypothesis is not decidable here)\n'),
     ('check second-type --P=-3*y --Q 2*x --f y^2-x^3 --k-max 2', 'json', 2, '', 'error: check second-type requires --assert-second-type (second-type hypothesis is not decidable here)\n'),
     ('check second-type --P=-3*y --Q 2*x --assert-second-type', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check second-type --P=-3*y --Q 2*x --assert-second-type', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check conjecture1 --f x^4-y^3 --k 2', 'table', 0, '11,11,true\n', ''),
-    ('check conjecture1 --f x^4-y^3 --k 2', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": [11, 11, true], "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check conjecture1 --f x^4-y^3 --k 2', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": [11, 11, true], "finite": true, "elapsed_ms": 0}\n', ''),
     ('check conjecture1 --f x^3*y+y^5 --k 4', 'table', 0, '24,755/32,true\n', ''),
-    ('check conjecture1 --f x^3*y+y^5 --k 4', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^3*y+y^5"}, "k": 4, "result": [24, "755/32", true], "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check conjecture1 --f x^3*y+y^5 --k 4', 'json', 0, '{"command": "check conjecture1", "inputs": {"f": "x^3*y+y^5"}, "k": 4, "result": [24, "755/32", true], "finite": true, "elapsed_ms": 0}\n', ''),
     ('check conjecture1 --P 2*x', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check conjecture1 --P 2*x', 'json', 2, '', 'error: --f is required for this command\n'),
     ('check ratio --f x^4-y^3 --k 2', 'table', 1, '12,11,false\n', ''),
-    ('check ratio --f x^4-y^3 --k 2', 'json', 1, '{"command": "check ratio", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": [12, 11, false], "finite": true, "seed": 0, "elapsed_ms": 0}\n', ''),
+    ('check ratio --f x^4-y^3 --k 2', 'json', 1, '{"command": "check ratio", "inputs": {"f": "x^4-y^3"}, "k": 2, "result": [12, 11, false], "finite": true, "elapsed_ms": 0}\n', ''),
     ('check ratio', 'table', 2, '', 'error: --f is required for this command\n'),
     ('check ratio', 'json', 2, '', 'error: --f is required for this command\n'),
     ('scenarios run --filter section-5', 'table', 0, 'PASS tau0-topology-f: 12\nPASS tau0-topology-g: 11\nPASS tau1-topology-f: 14\nPASS tau1-topology-g: 13\n4/4 scenarios passed, 0 failed\n', ''),

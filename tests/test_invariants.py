@@ -204,29 +204,21 @@ class TestPolar:
         c = curve(NODE)
         for k in range(6):
             mu = (k + 1) * (k + 2) // 2
-            assert polar_intersection_k(fol, c, k, seed=1) == mu + 1
-        assert polar_intersection_k(fol, c, 0) == 2
-        assert polar_intersection_k(fol, c, 3) == 11
+            assert polar_intersection_k(fol, c, k) == mu + 1
 
     def test_teissier_check(self):
         for f in (NODE, F_RUN, F_CEX):
             for k in range(7):
                 assert teissier_k_check(f, k), (f, k)
 
-    def test_sample_count_validated(self):
-        fol = hamiltonian(NODE)
-        with pytest.raises(PreconditionError):
-            polar_intersection_k(fol, curve(NODE), 0, samples=2)
-
     def test_more_samples_than_directions_refused_at_once(self):
-        # 513 exceeds the box; with 512, the direction (0:1) gives the polar
-        # 4y^3 of multiplicity 3 > nu(F) = 2, so only 511 directions qualify
-        f = X**3 + Y**4
-        for samples, match in ((513, "at most 512"), (512, "only 511 of the 512")):
-            start = time.perf_counter()
-            with pytest.raises(PreconditionError, match=match):
-                polar_intersection_k(hamiltonian(f), curve(f), 0, samples=samples)
-            assert time.perf_counter() - start < 0.1
+        # nu(f) = 511 needs 512 directions, but (0:1) gives the polar 512y^511
+        # of multiplicity 511 > nu(F) = 510, so only 511 directions qualify
+        f = X**511 + Y**512
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="only 511 of the 512"):
+            polar_intersection_k(hamiltonian(f), curve(f), 0)
+        assert time.perf_counter() - start < 0.1
 
     def test_direction_count_matches_the_box(self):
         directions = set()
@@ -250,11 +242,36 @@ class TestPolar:
         fol, c = hamiltonian(f), curve(f)
         for a, b in ((0, 1), (1, 0), (1, 1)):
             assert intersection_number(a * fol.P + b * fol.Q, f) is INFINITE
-        values = [polar_intersection_k(fol, c, k, seed=0) for k in range(4)]
+        values = [polar_intersection_k(fol, c, k) for k in range(4)]
         assert values == [6, 8, 12, 17]
         assert values == [milnor_k(f, k) + 3 - 1 for k in range(4)]
-        for seed in range(invariants._DIRECTIONS):
-            assert polar_intersection_k(fol, c, 0, seed=seed) == 6, seed
+
+    @pytest.mark.parametrize(
+        "fol, f",
+        [
+            # nu(f) = 1: the walk keeps two directions
+            (Foliation(4 * X * Y, Y - 2 * X**2), Y),
+            (hamiltonian(NODE), NODE),
+            (hamiltonian(F_RUN), F_RUN),
+            (hamiltonian(X * Y * (X - Y)), X * Y * (X - Y)),
+            (hamiltonian(F_CEX), F_CEX),
+        ],
+    )
+    def test_certified_polar_is_the_least(self, fol, f):
+        # brute force over every direction of the box: i^0 is the least finite
+        # i(p, f), and i^k agrees with every polar p that attains it
+        c = curve(f)
+        polars = [a * fol.P + b * fol.Q for a, b in invariants._BOX]
+        polars = [
+            p for p in polars if not p.is_zero and p.multiplicity() == fol.multiplicity
+        ]
+        i0 = [intersection_number(p, f) for p in polars]
+        least = min(v for v in i0 if v is not INFINITE)
+        assert polar_intersection_k(fol, c, 0) == least
+        generic = [p for p, v in zip(polars, i0) if v == least]
+        for k in (1, 2):
+            value = polar_intersection_k(fol, c, k)
+            assert all(colength(Ideal.of(p, f), k) == value for p in generic), k
 
 
 class TestGsvPolarDifference:
@@ -265,8 +282,8 @@ class TestGsvPolarDifference:
         fol = Foliation(4 * X * Y, Y - 2 * X**2)
         c = curve(Y)
         diffs = [
-            polar_intersection_k(fol, c, k, seed=0)
-            - polar_intersection_k(hamiltonian(Y), c, k, seed=0)
+            polar_intersection_k(fol, c, k)
+            - polar_intersection_k(hamiltonian(Y), c, k)
             for k in range(4)
         ]
         assert diffs == [2, 3, 4, 5]
@@ -277,8 +294,8 @@ class TestGsvPolarDifference:
         c = curve(Y**3 - X**2)
         assert gsv_index(fol, c) == -1
         diffs = [
-            polar_intersection_k(fol, c, k, seed=0)
-            - polar_intersection_k(hamiltonian(Y**3 - X**2), c, k, seed=0)
+            polar_intersection_k(fol, c, k)
+            - polar_intersection_k(hamiltonian(Y**3 - X**2), c, k)
             for k in range(4)
         ]
         assert diffs == [-1, -1, -1, -1]

@@ -351,7 +351,7 @@ def run_polar_teissier_zero_suite(seed=112, target=200):
         C = curve(f)
         cases += 1
         if any(
-            polar_intersection_k(F, C, k, seed=7)
+            polar_intersection_k(F, C, k)
             != milnor_k(f, k) + f.multiplicity() - 1
             for k in range(3)
         ):

@@ -58,3 +58,23 @@ def test_readme_examples():
         assert checked, "a README block with no checked line"
         wrong = [c for c in checked if c[2] != c[3]]
         assert not wrong, wrong
+
+
+def _verb_table() -> dict:
+    """Each row of the README verb table: verb -> the first cell's text."""
+    section = README.read_text().split("### Verbs\n", 1)[1].split("\n### ", 1)[0]
+    cells = re.findall(r"^\| `([^`]*)` \|", section, re.M)
+    return {cell.split()[0]: cell for cell in cells}
+
+
+def test_verb_table_options_match_the_parser():
+    from folinv import cli
+
+    table = _verb_table()
+    assert set(table) == set(cli.VERBS)
+    for verb, cell in table.items():
+        if verb in ("check", "scenarios"):
+            continue
+        usage = cli._parser().verbs[verb].format_usage()
+        options = set(re.findall(r"--[A-Za-z][\w-]*", usage)) - {"--help", "--format"}
+        assert set(re.findall(r"--[A-Za-z][\w-]*", cell)) == options, verb

@@ -142,7 +142,15 @@ class TestRunScenario:
         sc = Scenario("bad", "", "section-0", "frobnicate x", "1")
         report = run_scenario(sc)
         assert not report.passed
-        assert report.computed == "error: invalid arguments"
+        assert report.computed.startswith(
+            "error: argument verb: invalid choice: 'frobnicate'"
+        )
+
+    def test_refused_arguments_reported_without_stderr(self, capsys):
+        sc = Scenario("bad", "", "section-0", "milnor x^2 --bogus", "1")
+        report = run_scenario(sc)
+        assert report.computed == "error: unrecognized arguments: --bogus"
+        assert capsys.readouterr() == ("", "")
 
     def test_scenarios_verb_rejected_inside_scenario(self):
         sc = Scenario("recur", "", "section-0", "scenarios run --all", "true")
@@ -153,7 +161,7 @@ class TestRunScenario:
     def test_property_marker_passes_on_true(self):
         sc = Scenario(
             "prop", "", "section-0",
-            "check teissier-k --f x^2+y^2 --k-max 2 --seed 5", "property",
+            "check teissier-k --f x^2+y^2 --k-max 2", "property",
         )
         assert run_scenario(sc).passed
 
