@@ -592,9 +592,32 @@ class UsageError(ValueError):
         self.parser = parser
 
 
+class HelpRequested(UsageError):
+    """-h or --help; ``parser`` is the parser whose help was asked for."""
+
+
+class _Help(argparse.Action):
+    """-h and --help: raise HelpRequested where argparse's own action would
+    print the help to stdout and exit."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(
+            option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS,
+            help="show this help message and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise HelpRequested(parser, "help requested")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """An argparse parser that raises UsageError where argparse would print
-    the usage and exit, so a scenario row can report the reason."""
+    the usage or the help and exit, so that a scenario row reports the
+    reason and writes nothing."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action=_Help)
 
     def error(self, message):
         raise UsageError(self, message)
@@ -760,6 +783,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         outcome = evaluate(argv)
+    except HelpRequested as exc:
+        exc.parser.print_help()
+        exc.parser.exit()
     except UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         exc.parser.exit(2, f"{exc.parser.prog}: error: {exc}\n")

@@ -115,8 +115,6 @@ def run_scenario(scenario_or_id, registry=None) -> RunReport:
     try:
         outcome = cli.evaluate(shlex.split(sc.expression), allow_scenarios=False)
         computed = cli.canonical(outcome.result)
-    except SystemExit:
-        computed = "error: invalid arguments"
     except Exception as exc:  # noqa: BLE001 - report, don't abort the batch
         computed = f"error: {exc}"
     elapsed_ms = int((time.perf_counter() - start) * 1000)

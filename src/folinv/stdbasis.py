@@ -133,13 +133,13 @@ _COEFF_BIT_LIMIT = 6000
 # The first time in a run of _std that a walk without a truncation degree
 # has a leading coefficient past _SWELL_BITS, the run asks whether its
 # generators share a factor through the origin, and when they do not, tries
-# two small caps of capped elimination.  Census of the 209 runs of one
-# `fallback` pass of perfbench at seed 1, pass 0: 195 never reach the mark;
-# of the 14 that do, 9 end on the split, 3 end on cap 8, and 2 are refused
-# caps 4 and 8 and finish on Mora.  No run walks on to _COEFF_BIT_LIMIT,
-# where the 3 runs that cap 8 now settles went after 91-126 steps.  The
-# question costs a modular certificate, well under a millisecond on such
-# inputs, and each small cap about as much.
+# two small caps of capped elimination.  Census of the 226 runs of one
+# `fallback` pass of perfbench at seed 1, pass 0: 26 split a monomial off
+# before any walk, and 195 never reach the mark; of the 5 that do, 3 end on
+# cap 8, and 2 are refused caps 4 and 8 and finish on Mora.  No run walks on
+# to _COEFF_BIT_LIMIT, where the 3 runs that cap 8 now settles went after
+# 91-126 steps.  The question costs a modular certificate, well under a
+# millisecond on such inputs, and each small cap about as much.
 _SWELL_BITS = 256
 
 
@@ -296,6 +296,15 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     * swell, the reason _SWELL: the ideal is zero-dimensional, shown by a
       truncation degree or by the absence of a shared factor.
 
+    Before any walk, when every leading monomial has a positive x-exponent,
+    or every one a positive y-exponent, the run looks for a monomial m != 1
+    dividing every input term (:func:`_monomial_split`).  One is a shared factor, and the run
+    returns the reason (m, cofactors) at once: a standard basis of m*J is m
+    times one of J, since leading monomials multiply, so no walk, certificate
+    or gcd is needed.  The least x-exponent of all terms is at most that of
+    the leading monomials, and so is the least y-exponent, so the scan runs
+    only when it may find m.
+
     The run asks once whether its generators share a factor through the
     origin: when a walk without a truncation degree first passes
     _SWELL_BITS, or gives up before that.  A walk with a truncation degree
@@ -309,6 +318,8 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
     G = [list(g) for g in gens]
     reducers = [_reducer(g) for g in G]
     exps = [r[:2] for r in reducers]
+    if G and (min(exps)[0] or min(b for _, b in exps)) and (parts := _monomial_split(G)):
+        return None, parts
     trunc = _chain(exps)[1]
     budget = _NF_STEP_BUDGET * len(G)
     heap = []
@@ -503,9 +514,10 @@ class StandardBasis:
         """None for a finite staircase, else (g, basis of J) with I = g*J.
 
         The split route of :func:`_standard_basis_from_gens` presets it with
-        the split it made.  Any other basis with an infinite staircase comes
-        from a Mora run none of whose walks had a truncation degree, since
-        the staircase bound only falls; so every element is a polynomial
+        the split it made, composed with the split of the cofactor basis
+        after a monomial split.  Any other basis with an infinite staircase
+        comes from a Mora run none of whose walks had a truncation degree,
+        since the staircase bound only falls; so every element is a polynomial
         combination of the run's inputs and divisible by their gcd g_0.  The
         elements generate I, so each input is a combination of them in the
         local ring, and the gcd of the elements that
@@ -645,6 +657,17 @@ def _gcd(p, q, v: int = 0) -> list:
         p, q = q, _primitive(p, v)[1]
         dq, lq = _lead(q, v)
     return c
+
+
+def _monomial_split(gens) -> "tuple[list, tuple] | None":
+    """Factor term lists as m * cofactors, m = x^a y^b the monomial that
+    divides every term; None when m = 1.  m and the cofactors are term lists."""
+    exps = [_decode(code) for t in gens for code, _ in t]
+    a, b = min(a for a, _ in exps), min(b for _, b in exps)
+    if not (a or b):
+        return None
+    m = _encode((a, b))
+    return [(m, 1)], tuple(_shift(t, -m) for t in gens)
 
 
 def _split_common_factor(gens) -> "tuple[list, tuple] | None":
@@ -865,7 +888,12 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
 
     * a shared factor: a standard basis of g*J is g times one of J, since
       leading monomials multiply, so the cofactors J of the split go back to
-      the cache;
+      the cache.  The split kept for membership (see
+      :attr:`StandardBasis._factor`) must leave a zero-dimensional J.  A gcd
+      split does.  A monomial split g = m may not, as J can share a further
+      factor h; the split kept is then (m*h, J'), the split of the basis of
+      J.  In a `fallback` pass of perfbench at seed 1, pass 0, all 26 shared
+      factors are monomials, and none leaves a further split;
     * swell: the ideal is zero-dimensional, so capped elimination accepts
       every cap above its colength c, and m^c lies in it.  Doubling from a
       small cap reaches one in O(log c) attempts, and elimination cost grows
@@ -896,6 +924,9 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
         g, cofactors = reason
         inner = _standard_basis_cached(cofactors)
         sb = StandardBasis(tuple(_product(g, t) for t in inner.packed))
+        if inner._factor is not None:  # a monomial g leaves a further split
+            h, inner = inner._factor
+            g = _product(g, h)
         sb.__dict__["_factor"] = g, inner  # preset with the split just made
         return sb
     return StandardBasis(tuple(map(tuple, internal)))

@@ -68,6 +68,17 @@ def quotient_dim_modp(gens, N: int, prime: int) -> int:
     return len(monos) - rank
 
 
+def dim_below(lms, N: int) -> int:
+    """Monomials of degree < N outside the monomial ideal of the exponent
+    pairs lms: dim O/(I + m^N) when lms generate the leading ideal of I."""
+    return sum(
+        1
+        for d in range(N)
+        for a in range(d + 1)
+        if not any(a >= p and d - a >= q for p, q in lms)
+    )
+
+
 def oracle_colength(gens, nmax: int = 24, prime: int = PRIMES[0]):
     """Colength by stabilization of truncated dimensions; None if >= nmax."""
     prev = None

@@ -278,15 +278,6 @@ class TestDispatch:
         assert json.loads(out)["result"] == [12, 11, False]
         assert code == 1
 
-    def test_environment_does_not_set_the_seed(self, capsys, monkeypatch):
-        for env in ("17", "abc"):
-            monkeypatch.setenv("FOLINV_SEED", env)
-            code, out, _ = run_cli(
-                capsys, "polar", "--P", "2*x", "--Q", "2*y", "--f", "x^2+y^2",
-                "--format", "json",
-            )
-            assert (code, json.loads(out)["result"]) == (0, 2), env
-
 
 class TestExitCodeMatrix:
     def test_parse_error_is_2(self, capsys):
@@ -384,6 +375,13 @@ class TestArgv:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert all(verb in out for verb in cli.VERBS)
+
+    def test_verb_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["milnor", "x^2", "-h"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: folinv milnor") and "--k K" in out and err == ""
 
     def test_none_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["folinv", "milnor", "x^2+y^3"])
@@ -579,8 +577,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "argv, fmt, code, out, err", GOLDEN, ids=[f"{a} {f}" for a, f, *_ in GOLDEN]
 )
-def test_golden_output(argv, fmt, code, out, err, capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("FOLINV_SEED", raising=False)
+def test_golden_output(argv, fmt, code, out, err, capsys, tmp_path):
     registry = tmp_path / "reg.txt"
     registry.write_text(REGISTRY_TEXT, encoding="utf-8")
     args = shlex.split(argv.format(registry=registry)) + ["--format", fmt]
@@ -673,7 +670,6 @@ class TestScenariosVerb:
 def test_python_m_folinv_matches_cli_module(argv, code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(folinv.__file__))
-    env.pop("FOLINV_SEED", None)
 
     def run(module):
         out = subprocess.run(

@@ -15,6 +15,7 @@ import pytest
 from folinv import invariants, stdbasis
 from folinv.ring import Poly, X, Y, _decode
 from folinv.stdbasis import (
+    INFINITE,
     Ideal,
     colength,
     ideal_sum,
@@ -40,7 +41,7 @@ from folinv.invariants import (
     weighted_homogeneous_weights,
 )
 
-from oracle import oracle_colength, rand_poly
+from oracle import PRIMES, dim_below, oracle_colength, quotient_dim_modp, rand_poly
 
 
 def _finite(*values):
@@ -459,6 +460,67 @@ def run_koszul_identity_suite(seed=116, target=200):
     return cases, failures
 
 
+def run_monomial_split_suite(seed=117, target=200):
+    """I = m*J and I = m*h*J, for a monomial m of degree 1..3, a
+    zero-dimensional J = (a, b) and a factor h through the origin that is not
+    a monomial.  The engine splits m off before any walk, since a standard
+    basis of m*J is m times one of J (Greuel-Pfister 1.6-1.7), and the split
+    it keeps for membership must leave a zero-dimensional cofactor ideal.
+    Per ideal, with the oracle mod p:
+
+    * colen(I) is INFINITE;
+    * dim O/(I + m^n) counts the monomials of degree < n outside the leading
+      ideal, for n = 4, 8, 11;
+    * the split kept for membership has a factor with the leading monomial
+      of m*h and a cofactor basis with a finite staircase;
+    * contains(I, m*h*q) agrees with the oracle for q random or in J: with
+      c = colen(J), m^c lies in J, so m*h*q lies in I + m^N for
+      N = c + ord(m*h) exactly when q lies in J, as orders add.
+
+    A case is one ideal.
+    """
+    rng = random.Random(seed)
+    cases = failures = 0
+    while cases < target:
+        a, b = _rand_coprime_pair(rng)
+        c = oracle_colength([a, b], nmax=10)
+        if c is None:
+            continue
+        d = rng.randint(1, 3)
+        e = rng.randint(0, d)
+        g = X**e * Y ** (d - e)
+        if cases % 2:
+            h = rand_poly(rng)
+            if len(h.terms) == 1:
+                continue
+            g = g * h
+        gens = [g * a, g * b]
+        ideal = Ideal(tuple(gens))
+        q = rand_poly(rng)
+        if rng.random() < 0.5:
+            q = q * a + rand_poly(rng) * b
+        f = g * q
+        N = c + g.multiplicity()
+        member = quotient_dim_modp(gens + [f], N, PRIMES[0]) == quotient_dim_modp(
+            gens, N, PRIMES[0]
+        )
+        lms = stdbasis.leading_ideal(ideal)
+        factor, cofactors = stdbasis.standard_basis(ideal)._factor
+        cases += 1
+        if (
+            colength(ideal) is not INFINITE
+            or any(
+                dim_below(lms, n) != quotient_dim_modp(gens, n, PRIMES[0]) for n in (4, 8, 11)
+            )
+            or _decode(factor[0][0]) != g.leading_monomial()
+            or cofactors._staircase[0] is None
+            # last: with an infinite cofactor staircase the walk may not end
+            or stdbasis.contains(ideal, f) != member
+        ):
+            failures += 1
+    return cases, failures
+
+
 SUITES = {
     "lemma-3-1": run_lemma_31_suite,
     "lemma-3-2": run_lemma_32_suite,
@@ -476,6 +538,7 @@ SUITES = {
     "nondicritical-tjurina-bound": run_nondicritical_tjurina_bound_suite,
     "gsv-branch-consistency": run_gsv_branch_consistency_suite,
     "koszul-identity": run_koszul_identity_suite,
+    "monomial-split": run_monomial_split_suite,
 }
 
 
@@ -556,6 +619,11 @@ def test_gsv_branch_consistency():
 
 def test_koszul_identity():
     cases, failures = run_koszul_identity_suite()
+    assert cases >= 200 and failures == 0
+
+
+def test_monomial_split():
+    cases, failures = run_monomial_split_suite()
     assert cases >= 200 and failures == 0
 
 

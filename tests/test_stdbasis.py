@@ -37,7 +37,7 @@ from folinv.stdbasis import (
     standard_basis,
 )
 
-from oracle import PRIMES, oracle_colength, quotient_dim_modp, rand_poly
+from oracle import PRIMES, dim_below, oracle_colength, quotient_dim_modp, rand_poly
 
 F_RUN = X**4 - Y**3
 G_RUN = Y**5 - X**7 + X**4 * Y**4
@@ -810,16 +810,6 @@ class TestDegenerateIdeals:
         assert contains(Ideal.of(-3 * Y, 2 * X), Y**2 - X**3)
 
 
-def _dim_below(lms, n):
-    """Monomials of degree < n outside the monomial ideal of lms: dim O/(I + m^n)."""
-    return sum(
-        1
-        for d in range(n)
-        for a in range(d + 1)
-        if not any(a >= p and d - a >= q for p, q in lms)
-    )
-
-
 class TestForcedRoutes:
     """A zero Mora work budget sends every basis that needs a reduction to a
     fallback: the common-factor split when the generators share a factor
@@ -829,6 +819,7 @@ class TestForcedRoutes:
     def routes(self, monkeypatch):
         calls = {"split": 0, "capped": 0, "membership": 0}
         split, capped = stdbasis._split_common_factor, stdbasis._capped_std
+        monomial = stdbasis._monomial_split
 
         def counted_split(gens):
             # "split" counts the basis route; a basis that Mora finished
@@ -838,12 +829,19 @@ class TestForcedRoutes:
             calls["membership" if in_factor else "split"] += out is not None
             return out
 
+        def counted_monomial(gens):
+            # a monomial common factor is split off before any walk
+            out = monomial(gens)
+            calls["split"] += out is not None
+            return out
+
         def counted_capped(gens, cap):
             calls["capped"] += 1
             return capped(gens, cap)
 
         monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
         monkeypatch.setattr(stdbasis, "_split_common_factor", counted_split)
+        monkeypatch.setattr(stdbasis, "_monomial_split", counted_monomial)
         monkeypatch.setattr(stdbasis, "_capped_std", counted_capped)
         stdbasis._standard_basis_cached.cache_clear()
         yield calls
@@ -878,7 +876,7 @@ class TestForcedRoutes:
             assert oracle_colength(gens, nmax=12) is None
             lms = leading_ideal(ideal)
             for n in (4, 8, 11):
-                assert _dim_below(lms, n) == quotient_dim_modp(gens, n, PRIMES[0])
+                assert dim_below(lms, n) == quotient_dim_modp(gens, n, PRIMES[0])
         assert routes["split"] >= 15
 
     def test_mk_plus_f_closed_form(self, routes):
@@ -954,13 +952,16 @@ class TestForcedRoutes:
         assert routes["capped"] > 0 and routes["split"] == 0
 
     def test_membership_through_a_unit_factor(self, routes):
-        # the gcd x(1+x) of the generators does not divide x*y^2, but its
-        # part vanishing at the origin does: 1+x is a unit
-        g = X * (Poly.one() + X)
+        # the gcd (x + y^2)(1+x) of the generators does not divide
+        # (x + y^2)*y^2, but its part vanishing at the origin does: 1+x is a
+        # unit.  The factor is not a monomial, so the basis Mora finishes
+        # splits its own elements for membership
+        c = X + Y**2
+        g = c * (Poly.one() + X)
         ideal = Ideal.of(g * X**2, g * Y**2, g * X * Y)
-        assert contains(ideal, X * Y**2) is True
-        assert contains(ideal, X**2 * Y * (Poly.one() + Y)) is True
-        assert contains(ideal, X * Y) is False
+        assert contains(ideal, c * Y**2) is True
+        assert contains(ideal, c * X * Y * (Poly.one() + Y)) is True
+        assert contains(ideal, c * Y) is False
         assert contains(ideal, Y**3) is False
         assert routes["membership"] == 1
 
@@ -973,8 +974,11 @@ class TestForcedRoutes:
 
         monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
         loaded = set(sys.modules)
-        assert colength(Ideal.of(X * F_RUN, X * G_RUN)) is INFINITE
-        assert contains(Ideal.of(X * F_RUN, X * G_RUN), X * Y**3 - X**5) is True
+        # a shared factor that is not a monomial, which the exact gcd splits
+        c = X + Y**2
+        g = c * (Poly.one() + X)
+        assert colength(Ideal.of(g * F_RUN, g * G_RUN)) is INFINITE
+        assert contains(Ideal.of(g * F_RUN, g * G_RUN), c * (Y**3 - X**4)) is True
         assert colength(Ideal.of(F_RUN, (Poly.one() + Y) * F_RUN, G_RUN)) == 20
         assert routes["split"] > 0 and routes["capped"] > 0
         assert set(sys.modules) == loaded
