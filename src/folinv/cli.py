@@ -15,9 +15,15 @@ Exit codes: 0 for success (including boolean results of ``true``), 1 for a
 ``false``/failed check or any failed scenario, 2 for input errors (bad
 arguments, unparsable polynomials, violated preconditions).
 
-Output: ``--format table`` (default) prints bare values, with infinite
-colengths as the token ``infinite``; ``--format json`` emits one object with
-keys {command, inputs, k, result, finite, elapsed_ms}.
+Output of a verb line, which ``evaluate`` runs: ``--format table`` (default)
+prints the bare value, with infinite colengths as the token ``infinite``;
+``--format json`` emits one object with keys {command, inputs, k, result,
+finite, elapsed_ms}.  ``evaluate`` refuses the ``scenarios`` verb, which
+``main`` runs.  Its output is one line per scenario: ``id  [location]
+description`` or {id, location, description} for ``list``; ``PASS id: value``,
+``FAIL id: computed != expected`` or {id, computed, expected, pass,
+elapsed_ms} for ``run``, followed by a summary line, ``passed/total scenarios
+passed, failed failed`` or {total, passed, failed}.
 """
 
 from __future__ import annotations
@@ -352,19 +358,12 @@ def _all_finite(value) -> bool:
 
 @dataclass
 class Outcome:
-    """Result of one evaluated command, ready for formatting and exit-code logic."""
+    """Result of one evaluated verb line, ready for formatting and exit-code logic."""
 
     command: str
     inputs: dict
     k: "int | None"
     result: object
-    reports: "tuple | None" = None
-    summary: "dict | None" = None
-    fmt: str = "table"
-
-    @property
-    def finite(self) -> bool:
-        return _all_finite(self.result)
 
     @property
     def exit_code(self) -> int:
@@ -499,7 +498,8 @@ CHECKS = {
 }
 CHECK_NAMES = tuple(CHECKS)
 
-# ``check`` and ``scenarios`` have no ``run``: ``evaluate`` hands them on.
+# ``check`` and ``scenarios`` have no ``run``: ``check`` is handed on to
+# CHECKS, and ``main`` runs ``scenarios`` itself.
 VERBS = {
     "vdim": _Row(
         _vdim, "colength of <GENS>*m^MK + <PLUS...>",
@@ -667,31 +667,25 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
-def evaluate(argv, allow_scenarios: bool = True) -> Outcome:
-    """Parse argv and run the command, returning the raw outcome.
+def evaluate(argv) -> Outcome:
+    """Parse argv and run the verb line, returning the raw outcome.
 
-    ``allow_scenarios=False`` is scenario mode: the scenarios verb is refused.
-
-    Raises ParseError / PreconditionError for invalid inputs, and UsageError
-    for malformed argument lists.
+    Raises ParseError / PreconditionError for invalid inputs, the scenarios
+    verb among them, and UsageError for malformed argument lists.
     """
     args = _parse_args(argv)
     if args.verb == "scenarios":
-        if not allow_scenarios:
-            raise PreconditionError(
-                "scenario expressions may not invoke the scenarios verb"
-            )
-        outcome = _evaluate_scenarios(args)
-    else:
-        command, row = args.verb, VERBS[args.verb]
-        if command == "check":
-            command, row = f"check {args.name}", CHECKS[args.name]
-        outcome = _evaluate_row(command, row, args)
-    outcome.fmt = args.format
-    return outcome
+        raise PreconditionError(
+            "scenario expressions may not invoke the scenarios verb"
+        )
+    return _evaluate_verb(args)
 
 
-def _evaluate_row(command: str, row: _Row, args) -> Outcome:
+def _evaluate_verb(args) -> Outcome:
+    """Run a verb line other than ``scenarios``, read into args."""
+    command, row = args.verb, VERBS[args.verb]
+    if command == "check":
+        command, row = f"check {args.name}", CHECKS[args.name]
     for name in row.inputs:
         if getattr(args, name) is None:
             raise PreconditionError(f"--{name} is required for this command")
@@ -706,65 +700,10 @@ def _evaluate_row(command: str, row: _Row, args) -> Outcome:
     return Outcome(command, inputs, args.k, row.run(args))
 
 
-def _evaluate_scenarios(args) -> Outcome:
-    registry = scenarios_mod.load_registry(args.registry)
-    inputs = {"registry": args.registry, "filter": args.filter}
-    if args.action == "list":
-        reports = tuple(
-            (sc.id, sc.paper_location, sc.description) for sc in registry
-        )
-        return Outcome("scenarios list", inputs, None, True, reports=reports)
-    if not args.all and args.filter is None:
-        raise PreconditionError("scenarios run needs --all or --filter")
-    reports, summary = scenarios_mod.run_all(filter=args.filter, registry=registry)
-    return Outcome(
-        "scenarios run", inputs, None, summary["failed"] == 0,
-        reports=reports, summary=summary,
-    )
-
-
 # -- output -------------------------------------------------------------------
 
 
 def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
-    if outcome.command == "scenarios list":
-        if fmt == "json":
-            lines = [
-                json.dumps({"id": i, "location": loc, "description": d})
-                for i, loc, d in outcome.reports
-            ]
-            return "\n".join(lines)
-        return "\n".join(
-            f"{i}  [{loc}]  {d}" for i, loc, d in outcome.reports
-        )
-
-    if outcome.command == "scenarios run":
-        lines = []
-        if fmt == "json":
-            for r in outcome.reports:
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": r.scenario_id,
-                            "computed": r.computed,
-                            "expected": r.expected,
-                            "pass": r.passed,
-                            "elapsed_ms": r.elapsed_ms,
-                        }
-                    )
-                )
-            lines.append(json.dumps(outcome.summary))
-        else:
-            for r in outcome.reports:
-                status = "PASS" if r.passed else "FAIL"
-                detail = r.computed if r.passed else f"{r.computed} != {r.expected}"
-                lines.append(f"{status} {r.scenario_id}: {detail}")
-            s = outcome.summary
-            lines.append(
-                f"{s['passed']}/{s['total']} scenarios passed, {s['failed']} failed"
-            )
-        return "\n".join(lines)
-
     if fmt == "json":
         return json.dumps(
             {
@@ -772,17 +711,67 @@ def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
                 "inputs": outcome.inputs,
                 "k": outcome.k,
                 "result": _json_value(outcome.result),
-                "finite": outcome.finite,
+                "finite": _all_finite(outcome.result),
                 "elapsed_ms": elapsed_ms,
             }
         )
     return canonical(outcome.result)
 
 
+def _scenarios(args) -> tuple:
+    """List or run the scenarios of the registry: (output text, exit code)."""
+    registry = scenarios_mod.load_registry(args.registry)
+    as_json = args.format == "json"
+    if args.action == "list":
+        lines = [
+            json.dumps(
+                {"id": sc.id, "location": sc.paper_location, "description": sc.description}
+            )
+            if as_json
+            else f"{sc.id}  [{sc.paper_location}]  {sc.description}"
+            for sc in scenarios_mod.select(registry, args.filter)
+        ]
+        return "\n".join(lines), 0
+    if not args.all and args.filter is None:
+        raise PreconditionError("scenarios run needs --all or --filter")
+    reports, summary = scenarios_mod.run_all(filter=args.filter, registry=registry)
+    if as_json:
+        lines = [
+            json.dumps(
+                {
+                    "id": r.scenario_id,
+                    "computed": r.computed,
+                    "expected": r.expected,
+                    "pass": r.passed,
+                    "elapsed_ms": r.elapsed_ms,
+                }
+            )
+            for r in reports
+        ]
+        lines.append(json.dumps(summary))
+    else:
+        lines = [
+            f"PASS {r.scenario_id}: {r.computed}"
+            if r.passed
+            else f"FAIL {r.scenario_id}: {r.computed} != {r.expected}"
+            for r in reports
+        ]
+        tally = "{passed}/{total} scenarios passed, {failed} failed"
+        lines.append(tally.format(**summary))
+    return "\n".join(lines), 1 if summary["failed"] else 0
+
+
 def main(argv=None) -> int:
     start = time.perf_counter()
     try:
-        outcome = evaluate(argv)
+        args = _parse_args(argv)
+        if args.verb == "scenarios":
+            text, code = _scenarios(args)
+        else:
+            outcome = _evaluate_verb(args)
+            elapsed_ms = int((time.perf_counter() - start) * 1000)
+            text = _render(outcome, args.format, elapsed_ms)
+            code = outcome.exit_code
     except HelpRequested as exc:
         exc.parser.print_help()
         exc.parser.exit()
@@ -792,14 +781,14 @@ def main(argv=None) -> int:
     except ValueError as exc:  # includes ParseError and PreconditionError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
     try:
-        print(_render(outcome, outcome.fmt, elapsed_ms))
+        if text:
+            print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-    return outcome.exit_code
+    return code
 
 
 if __name__ == "__main__":

@@ -180,8 +180,7 @@ def foliation_milnor_k(F: Foliation, k: int):
 def foliation_tjurina_k(F: Foliation, C: CurveGerm, k: int):
     """tau^k(F,C) = dim O/((P,Q) * m^k + (f)) for C invariant by F."""
     _natural(k, "k")
-    if not is_invariant(F, C):
-        raise PreconditionError("the curve is not invariant by the foliation")
+    _require_invariant(F, C)
     return colength(Ideal.of(F.P, F.Q), k, Ideal.of(C.f))
 
 
@@ -201,6 +200,11 @@ def is_invariant(F: Foliation, C: CurveGerm) -> bool:
     return contains(Ideal.of(f), w)
 
 
+def _require_invariant(F: Foliation, C: CurveGerm) -> None:
+    if not is_invariant(F, C):
+        raise PreconditionError("the curve is not invariant by the foliation")
+
+
 def _require_reduced(C: CurveGerm) -> None:
     if not is_finite(tjurina_k(C.f, 0)):
         raise PreconditionError("the curve is not reduced")
@@ -218,8 +222,7 @@ def gsv_index(F: Foliation, C: CurveGerm) -> int:
     direction fail for g and at most one for h, so one of these 2*nu(f) + 1
     directions gives finite numbers.
     """
-    if not is_invariant(F, C):
-        raise PreconditionError("the curve is not invariant by the foliation")
+    _require_invariant(F, C)
     _require_reduced(C)
     f = C.f
     fx, fy = f.partial_x(), f.partial_y()
@@ -278,8 +281,7 @@ def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
       1995, ch. 17); every kept p has nu(p) = nu(F).
     """
     _natural(k, "k")
-    if not is_invariant(F, C):
-        raise PreconditionError("the curve is not invariant by the foliation")
+    _require_invariant(F, C)
     needed = C.f.multiplicity() + 1
     polars = list(islice(_polars(F), needed))
     if len(polars) < needed:
@@ -431,8 +433,7 @@ def ratio_check(f: Poly, k: int):
 
 def is_quasihomogeneous_foliation(F: Foliation, C: CurveGerm) -> bool:
     """Whether f lies in (P, Q) -- the quasi-homogeneity membership test."""
-    if not is_invariant(F, C):
-        raise PreconditionError("the curve is not invariant by the foliation")
+    _require_invariant(F, C)
     return contains(Ideal.of(F.P, F.Q), C.f)
 
 

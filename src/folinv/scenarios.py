@@ -7,12 +7,13 @@ pipe-separated fields::
     id | description | location | expression | expected
 
 ``expression`` is a ``folinv`` command line (without the program name) that is
-re-evaluated through the same dispatch used by the CLI; ``expected`` is the
-frozen canonical value (integer, ``true``/``false``, ``infinite``,
-comma-joined tuple) or the marker ``property`` meaning "the command must
-report boolean true".  Reports are bit-stable runs by construction: scenarios
-execute in id order, no value depends on a seed or on the environment, and
-only the ``elapsed_ms`` fields may vary between runs.
+re-evaluated through ``cli.evaluate``, the dispatch of the CLI, which refuses
+the ``scenarios`` verb; ``expected`` is the frozen canonical value (integer,
+``true``/``false``, ``infinite``, comma-joined tuple) or the marker
+``property`` meaning "the command must report boolean true".  Reports are
+bit-stable runs by construction: scenarios execute in id order, no value
+depends on a seed or on the environment, and only the ``elapsed_ms`` fields
+may vary between runs.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def run_scenario(scenario_or_id, registry=None) -> RunReport:
     sc = _resolve(scenario_or_id, registry)
     start = time.perf_counter()
     try:
-        outcome = cli.evaluate(shlex.split(sc.expression), allow_scenarios=False)
+        outcome = cli.evaluate(shlex.split(sc.expression))
         computed = cli.canonical(outcome.result)
     except Exception as exc:  # noqa: BLE001 - report, don't abort the batch
         computed = f"error: {exc}"
@@ -125,20 +126,23 @@ def run_scenario(scenario_or_id, registry=None) -> RunReport:
     return RunReport(sc.id, computed, sc.expected, passed, elapsed_ms)
 
 
-def run_all(filter=None, registry=None) -> tuple:
-    """Run scenarios in id order; returns (reports, summary).
-
-    ``filter`` keeps scenarios whose id or location contains the substring.
-    An empty selection is a successful empty run.
-    """
-    if registry is None:
-        registry = load_registry()
-    selected = [
+def select(registry, filter=None) -> tuple:
+    """The scenarios of ``registry`` whose id or location contains the
+    substring ``filter``; all of them when ``filter`` is None."""
+    return tuple(
         sc
         for sc in registry
         if filter is None or filter in sc.id or filter in sc.paper_location
-    ]
-    reports = tuple(run_scenario(sc, registry) for sc in selected)
+    )
+
+
+def run_all(filter=None, registry=None) -> tuple:
+    """Run the scenarios :func:`select` keeps, in id order; returns
+    (reports, summary).  An empty selection is a successful empty run.
+    """
+    if registry is None:
+        registry = load_registry()
+    reports = tuple(run_scenario(sc, registry) for sc in select(registry, filter))
     failed = sum(1 for r in reports if not r.passed)
     summary = {"total": len(reports), "passed": len(reports) - failed, "failed": failed}
     return reports, summary

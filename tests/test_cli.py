@@ -647,6 +647,27 @@ class TestScenariosVerb:
         assert len(objs) == 212
         assert all(set(o) == {"id", "location", "description"} for o in objs)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_list_filter_lists_what_run_runs(self, capsys, fmt):
+        run = next(g for g in GOLDEN if g[:2] == ("scenarios run --filter section-5", "table"))
+        ran = re.findall(r"^PASS ([\w-]+):", run[3], re.M)
+        code, out, _ = run_cli(capsys, "scenarios", "list", "--filter", "section-5", "--format", fmt)
+        if fmt == "json":
+            listed = [json.loads(line)["id"] for line in out.splitlines()]
+        else:
+            listed = [line.split()[0] for line in out.splitlines()]
+        assert code == 0
+        assert len(ran) == 4 and listed == ran
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_list_filter_without_match_prints_nothing(self, capsys, fmt):
+        assert main(["scenarios", "list", "--filter", "zzz-none", "--format", fmt]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_evaluate_refuses_the_scenarios_verb(self):
+        with pytest.raises(PreconditionError, match="may not invoke the scenarios verb"):
+            evaluate(["scenarios", "list"])
+
     @pytest.mark.parametrize("name, reason", [("missing.txt", "No such file"), ("", "Is a directory")])
     def test_unreadable_registry_is_2(self, capsys, tmp_path, name, reason):
         path = str(tmp_path / name)

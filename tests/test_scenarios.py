@@ -221,3 +221,15 @@ class TestRunAll:
         reports, summary = run_all(registry=registry)
         assert summary == {"total": 2, "passed": 1, "failed": 1}
         assert [r.passed for r in reports] == [True, False]
+
+    def test_scenarios_verb_row_fails_and_the_batch_goes_on(self):
+        registry = (
+            Scenario("a", "", "section-0", "scenarios list", "true"),
+            Scenario("b", "", "section-0", "milnor x^2+y^3", "2"),
+        )
+        reports, summary = run_all(registry=registry)
+        assert reports[0].computed == (
+            "error: scenario expressions may not invoke the scenarios verb"
+        )
+        assert [r.passed for r in reports] == [False, True]
+        assert summary == {"total": 2, "passed": 1, "failed": 1}
