@@ -463,32 +463,27 @@ def _qh_identity(args) -> bool:
     )
 
 
-def _k_max(args) -> int:
-    return args.k if args.k_max is None else args.k_max
-
-
 CHECKS = {
     "gsv-theorem": _Row(
-        lambda a: gsv_theorem_check(_foliation(a), _curve(a), a.k),
-        inputs=_PQF, k=_k_max,
+        lambda a: gsv_theorem_check(_foliation(a), _curve(a), a.k), inputs=_PQF
     ),
-    "teissier-k": _Row(_teissier, inputs=("f",), k=_k_max),
+    "teissier-k": _Row(_teissier, inputs=("f",)),
     "polar-gsv": _Row(
         lambda a: polar_gsv_check(_foliation(a), _curve(a), a.k),
-        inputs=_PQF, k=_k_max,
+        inputs=_PQF,
         gate=("assert-second-type", "non-dicritical second-type hypothesis"),
     ),
     "bound": _Row(
-        _bound, inputs=_PQF, k=_k_max,
+        _bound, inputs=_PQF,
         gate=("assert-second-type", "the balanced-divisor hypothesis"),
     ),
     "qh-identity": _Row(
-        _qh_identity, inputs=_PQF, k=lambda a: max(1, _k_max(a)),
+        _qh_identity, inputs=_PQF, k=lambda a: max(1, a.k),
         gate=("assert-generalized-curve", "the generalized-curve hypothesis"),
     ),
     "second-type": _Row(
         lambda a: second_type_milnor_check(_foliation(a), _curve(a), a.k),
-        inputs=_PQF, k=_k_max,
+        inputs=_PQF,
         gate=("assert-second-type", "second-type hypothesis"),
     ),
     "conjecture1": _Row(
@@ -559,7 +554,8 @@ VERBS = {
             _arg("--P"),
             _arg("--Q"),
             _arg("--f"),
-            _arg("--k-max", type=_nonneg, default=None, dest="k_max"),
+            # another spelling of --k: it sets args.k and leaves the default to --k
+            _arg("--k-max", type=_nonneg, default=argparse.SUPPRESS, dest="k"),
             _arg(
                 "--assert-second-type", action="store_true",
                 help="assert the foliation is of second type (required by some checks)",

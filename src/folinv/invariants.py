@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd
 
-from .ring import Poly, multiplicity
+from .ring import Poly
 from .stdbasis import (
     Ideal,
     colength,
@@ -145,11 +145,13 @@ class InvariantReport:
     name: str
     computed: object
     closed_form: object = None
-    agrees: "bool | None" = None
 
-    def __post_init__(self):
-        if self.closed_form is not None:
-            object.__setattr__(self, "agrees", self.computed == self.closed_form)
+    @property
+    def agrees(self) -> "bool | None":
+        """computed == closed_form; None when there is no closed form."""
+        if self.closed_form is None:
+            return None
+        return self.computed == self.closed_form
 
 
 # -- ideal-route invariants ---------------------------------------------------
@@ -483,7 +485,7 @@ def teissier_k_check(f: Poly, k: int) -> bool:
     C = curve(f)
     i_k = polar_intersection_k(F, C, k)
     mu = milnor_k(f, k)
-    return i_k == mu + multiplicity(f) - 1
+    return i_k == mu + f.multiplicity() - 1
 
 
 def polar_gsv_check(F: Foliation, C: CurveGerm, k_max: int) -> bool:

@@ -11,15 +11,19 @@ Normal forms computed against this order live in the local ring (convergent
 power series localized at the origin) rather than in the polynomial ring,
 which is what every colength downstream relies on.
 
+The packed code ``_encode`` is the only statement of this order in the
+package.  The code of x^a y^b is ((a+b) << _SHIFT) | b, so integer order
+of codes is the local order read descending, and multiplying monomials
+adds codes; total degrees stay below 2^40.  No tuple form of the order or
+of monomial arithmetic exists beside it: compare and multiply monomials
+through their codes.
+
 A :class:`Poly` is stored as ``content * prim``.  ``prim`` is a term list:
 a tuple of (code, int) pairs, ascending by code, whose coefficients have no
-common factor and whose first (leading) coefficient is positive.  The code
-of x^a y^b is ((a+b) << _SHIFT) | b, so integer order of codes is the local
-order read descending, and multiplying monomials adds codes; total degrees
-stay below 2^40.  ``content`` is a Fraction, 0 for the zero polynomial.
-This module owns that format; the standard-basis engine in
-:mod:`folinv.stdbasis` computes on term lists directly, so a ``Poly``
-enters it without conversion.
+common factor and whose first (leading) coefficient is positive.
+``content`` is a Fraction, 0 for the zero polynomial.  This module owns
+that format; the standard-basis engine in :mod:`folinv.stdbasis` computes
+on term lists directly, so a ``Poly`` enters it without conversion.
 """
 
 from __future__ import annotations
@@ -32,33 +36,6 @@ Monomial = tuple[int, int]
 Coefficient = Union[Fraction, int]
 
 ONE_MONOMIAL: Monomial = (0, 0)
-
-
-def order_key(m: Monomial) -> tuple[int, int]:
-    """Sort key: ascending in this key is descending in the local order."""
-    return (m[0] + m[1], m[1])
-
-
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] + m2[0], m1[1] + m2[1])
-
-
-def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 divides m2 componentwise."""
-    return m1[0] <= m2[0] and m1[1] <= m2[1]
-
-
-def monomial_quotient(m1: Monomial, m2: Monomial) -> Monomial:
-    """m1 / m2, assuming m2 divides m1."""
-    return (m1[0] - m2[0], m1[1] - m2[1])
-
-
-def monomial_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return (max(m1[0], m2[0]), max(m1[1], m2[1]))
-
-
-def total_degree(m: Monomial) -> int:
-    return m[0] + m[1]
 
 
 # -- term lists ---------------------------------------------------------------
@@ -202,14 +179,6 @@ class Poly:
         return cls.term(ONE_MONOMIAL, c)
 
     @classmethod
-    def variable(cls, name: str) -> "Poly":
-        if name == "x":
-            return cls.term((1, 0))
-        if name == "y":
-            return cls.term((0, 1))
-        raise ValueError(f"unknown variable {name!r}")
-
-    @classmethod
     def term(cls, m: Monomial, c: Coefficient = 1) -> "Poly":
         c = Fraction(c)
         return cls._wrap(c, ((_encode(m), 1),)) if c else cls.zero()
@@ -252,12 +221,6 @@ class Poly:
         if not self.prim:
             raise ValueError("the zero germ has no multiplicity")
         return self.prim[0][0] >> _SHIFT
-
-    def degree(self) -> int:
-        """Maximal total degree of a term."""
-        if not self.prim:
-            raise ValueError("the zero polynomial has no degree")
-        return self.prim[-1][0] >> _SHIFT
 
     # -- arithmetic --------------------------------------------------------
 
@@ -397,10 +360,5 @@ class Poly:
         return f"Poly({self})"
 
 
-X = Poly.variable("x")
-Y = Poly.variable("y")
-
-
-def multiplicity(f: Poly) -> int:
-    """Multiplicity of a germ at the origin; rejects the zero germ."""
-    return f.multiplicity()
+X = Poly.term((1, 0))
+Y = Poly.term((0, 1))

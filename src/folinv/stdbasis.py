@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
-from typing import Callable, ClassVar
+from typing import Callable
 
 from .ring import (
     _SHIFT,
@@ -495,7 +495,6 @@ class StandardBasis:
     """
 
     packed: tuple
-    order_tag: ClassVar[str] = "ds"
 
     @cached_property
     def elements(self) -> tuple[Poly, ...]:

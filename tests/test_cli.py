@@ -246,6 +246,17 @@ class TestDispatch:
         )
         assert (code, out) == (0, "11,11,true")
 
+    @pytest.mark.parametrize("name", ["ratio", "conjecture1"])
+    def test_k_max_is_another_spelling_of_k(self, capsys, name):
+        base = ("check", name, "--f", "x^3+y^4")
+        table = [run_cli(capsys, *base, flag, "3") for flag in ("--k", "--k-max")]
+        assert table[0] == table[1]
+        js = [
+            json.loads(run_cli(capsys, *base, flag, "3", "--format", "json")[1])
+            for flag in ("--k", "--k-max")
+        ]
+        assert js[0]["k"] == js[1]["k"] == 3 and js[0]["result"] == js[1]["result"]
+
     def test_infinite_table(self, capsys):
         assert run_cli(capsys, "milnor", "x^2")[:2] == (0, "infinite")
 
@@ -684,20 +695,22 @@ class TestScenariosVerb:
         assert len(out.splitlines()) == 2
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this folinv."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(folinv.__file__))}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["milnor", "x^4-y^3", "--k", "2"], 0), (["milnor", "x\u00b2"], 2), (["frobnicate"], 2)],
 )
 def test_python_m_folinv_matches_cli_module(argv, code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(folinv.__file__))
-
     def run(module):
         out = subprocess.run(
             [sys.executable, "-m", module, *argv, "--format", "json"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
             timeout=60,
         )
         return out.returncode, re.sub(r'"elapsed_ms": \d+', "", out.stdout), out.stderr
@@ -706,3 +719,21 @@ def test_python_m_folinv_matches_cli_module(argv, code):
     assert got == run("folinv.cli")
     assert got[0] == code
     assert bool(got[1]) == (code == 0)
+
+
+def test_closed_stdout_pipe_exits_0_quietly():
+    # the read end is closed before the child writes, so its first flush
+    # raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "folinv", "scenarios", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (0, b"")

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private top-level function, class or assigned name is referenced in the
-package, and no module imports sympy: the engine computes its exact gcds on
-its own term lists.
+package, no module imports sympy (the engine computes its exact gcds on
+its own term lists), and ``folinv.__all__`` lists exactly the public names
+the package binds.
 
 ``__init__.py`` is exempt from the first check: it imports names to
 re-export them.  A name counts as used when it appears as a name anywhere
@@ -10,6 +11,7 @@ module also counts as used as an attribute (``stdbasis._std``).
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -145,3 +147,15 @@ def test_the_check_sees_an_import_of_sympy():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_imports_sympy(path):
     assert "sympy" not in imported_modules(path.read_text())
+
+
+def test_all_lists_exactly_the_public_names():
+    exported = folinv.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(folinv, name) for name in exported)
+    bound = {
+        name
+        for name, value in vars(folinv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exported) == bound | {"__version__"}

@@ -13,6 +13,7 @@ from folinv.stdbasis import INFINITE, Ideal, colength, maximal_ideal_power
 from folinv.invariants import (
     CurveGerm,
     Foliation,
+    InvariantReport,
     PreconditionError,
     ReducedSingularityKind,
     WeightData,
@@ -118,6 +119,7 @@ class TestCurveInvariants:
         assert intersection_number(Poly.zero(), Poly.zero()) is INFINITE
         rep = milnor_report(Poly.zero(), 2)
         assert rep.computed is INFINITE and rep.closed_form is None
+        assert rep.agrees is None
 
     def test_jacobian_ideal(self):
         j = jacobian_ideal(F_RUN)
@@ -447,6 +449,13 @@ class TestChecks:
         assert rep.closed_form == 12
         assert rep.agrees is True
         assert rep.name
+
+    def test_report_agrees_is_read_off_its_fields(self):
+        assert InvariantReport("m", 1).agrees is None
+        assert InvariantReport("m", 1, 2).agrees is False
+        assert InvariantReport("m", 1, 1).agrees is True
+        with pytest.raises(TypeError):
+            InvariantReport("m", 1, None, True)
 
 
 class TestRefusals:

@@ -5,19 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from folinv.ring import (
-    ONE_MONOMIAL,
-    Poly,
-    X,
-    Y,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-    monomial_quotient,
-    multiplicity,
-    order_key,
-    total_degree,
-)
+from folinv.ring import ONE_MONOMIAL, Poly, X, Y, _decode, _encode
 
 
 def poly(text_terms):
@@ -29,26 +17,42 @@ G_RUN = Y**5 - X**7 + X**4 * Y**4
 
 
 class TestLocalOrder:
+    """The packed code is the engine's only statement of the local order:
+    a smaller code is a larger monomial, and adding codes multiplies."""
+
+    MONOS = [(a, b) for a in range(6) for b in range(6)]
+
     def test_unit_is_largest(self):
-        assert order_key(ONE_MONOMIAL) < order_key((1, 0))
+        one = _encode(ONE_MONOMIAL)
+        assert all(one < _encode(m) for m in self.MONOS if m != ONE_MONOMIAL)
 
     def test_lower_degree_wins(self):
-        assert order_key((1, 0)) < order_key((0, 3))  # x > y^3
+        assert _encode((1, 0)) < _encode((0, 3))  # x > y^3
+        assert _encode((0, 4)) < _encode((5, 0))  # y^4 > x^5
 
     def test_degree_tie_reverse_lex(self):
-        assert order_key((2, 0)) < order_key((1, 1))  # x^2 > xy
-        assert order_key((1, 1)) < order_key((0, 2))  # xy > y^2
+        assert _encode((2, 0)) < _encode((1, 1)) < _encode((0, 2))  # x^2 > xy > y^2
+
+    def test_decode_inverts_encode(self):
+        for m in self.MONOS + [(10**6, 0), (0, 10**6), (123456, 654321)]:
+            assert _decode(_encode(m)) == m
+
+    def test_adding_codes_multiplies(self):
+        for m1 in self.MONOS:
+            for m2 in self.MONOS:
+                product = (m1[0] + m2[0], m1[1] + m2[1])
+                assert _encode(m1) + _encode(m2) == _encode(product)
 
     def test_totality_and_compatibility(self):
-        monos = [(a, b) for a in range(5) for b in range(5)]
-        keys = [order_key(m) for m in monos]
-        assert len(set(keys)) == len(keys)
-        for m1 in monos:
-            for m2 in monos:
-                if order_key(m1) < order_key(m2):
-                    shifted = (order_key(monomial_mul(m1, (2, 3))),
-                               order_key(monomial_mul(m2, (2, 3))))
-                    assert shifted[0] < shifted[1]
+        codes = [_encode(m) for m in self.MONOS]
+        assert len(set(codes)) == len(codes)
+        shift = (2, 3)
+        for m1 in self.MONOS:
+            for m2 in self.MONOS:
+                if _encode(m1) < _encode(m2):
+                    p1 = (m1[0] + shift[0], m1[1] + shift[1])
+                    p2 = (m2[0] + shift[0], m2[1] + shift[1])
+                    assert _encode(p1) < _encode(p2)
 
     def test_leading_monomial_examples(self):
         assert F_RUN.leading_monomial() == (0, 3)  # y^3 beats x^4 locally
@@ -107,7 +111,7 @@ class TestArithmetic:
                 rng.choice([1, -1, Fraction(2, 3)]),
             )
             expect = Poly(
-                (monomial_mul(m1, m2), c1 * c2)
+                ((m1[0] + m2[0], m1[1] + m2[1]), c1 * c2)
                 for m1, c1 in f.terms
                 for m2, c2 in t.terms
             )
@@ -132,13 +136,13 @@ class TestArithmetic:
 
 class TestMultiplicity:
     def test_examples(self):
-        assert multiplicity(F_RUN) == 3
-        assert multiplicity(G_RUN) == 5
-        assert multiplicity(X**2 + Y**2) == 2
+        assert F_RUN.multiplicity() == 3
+        assert G_RUN.multiplicity() == 5
+        assert (X**2 + Y**2).multiplicity() == 2
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            multiplicity(Poly.zero())
+            Poly.zero().multiplicity()
 
     def test_additive_on_products(self):
         rng = random.Random(7)
@@ -149,7 +153,7 @@ class TestMultiplicity:
             g = Poly.from_dict(
                 {(rng.randint(0, 2), rng.randint(1, 3)): rng.randint(1, 2)}
             )
-            assert multiplicity(f * g) == multiplicity(f) + multiplicity(g)
+            assert (f * g).multiplicity() == f.multiplicity() + g.multiplicity()
 
 
 class TestDerivatives:
@@ -179,13 +183,6 @@ class TestDerivatives:
 
 
 class TestMonomialHelpers:
-    def test_divides_quotient_lcm(self):
-        assert monomial_divides((1, 2), (3, 2))
-        assert not monomial_divides((1, 3), (3, 2))
-        assert monomial_quotient((3, 2), (1, 2)) == (2, 0)
-        assert monomial_lcm((1, 2), (3, 0)) == (3, 2)
-        assert total_degree((3, 4)) == 7
-
     def test_str_parseable_shape(self):
         # leading term printed first, '-' folded into coefficients
         assert str(F_RUN) == "-y^3 + x^4"
