@@ -2,7 +2,8 @@
 
 Polynomials stand for germs of holomorphic functions at the origin of the
 plane, restricted to rational coefficients.  A monomial is an exponent pair
-``(a, b)`` meaning x^a * y^b.
+``(a, b)`` meaning x^a * y^b, with a and b nonnegative; the constructors
+refuse a negative exponent.
 
 The order is the local degree order: monomials of *lower* total degree are
 *larger* (the constant monomial 1 is the maximum), with ties broken reverse
@@ -133,6 +134,8 @@ class Poly:
         for m, c in terms:
             if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
+            if m[0] < 0 or m[1] < 0:
+                raise ValueError(f"negative exponent in {m}")
             code = _encode(m)
             acc[code] = acc[code] + c if code in acc else c
         den = lcm(*(c.denominator for c in acc.values()))
@@ -180,6 +183,8 @@ class Poly:
 
     @classmethod
     def term(cls, m: Monomial, c: Coefficient = 1) -> "Poly":
+        if m[0] < 0 or m[1] < 0:
+            raise ValueError(f"negative exponent in {m}")
         c = Fraction(c)
         return cls._wrap(c, ((_encode(m), 1),)) if c else cls.zero()
 

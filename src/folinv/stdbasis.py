@@ -15,10 +15,8 @@ that callers ask for as such.  Its loops use fraction-free pseudo-reduction;
 a nonzero normal form is determined up to a unit of the local ring, so
 keeping it primitive with a positive leading coefficient loses nothing.  One
 walk, :func:`_mora_nf`, computes every normal form, for standard bases,
-membership and :func:`mora_normal_form` alike; asked for a certificate, it
-carries the cofactors of the relation along as term lists too, so no
-Fraction arithmetic runs inside a reduction loop.  The exact gcd that splits
-a common factor off the generators, :func:`_split_common_factor`, computes on
+membership and :func:`mora_normal_form` alike.  The exact gcd that splits a
+common factor off the generators, :func:`_split_common_factor`, computes on
 term lists as well, so the engine has no second polynomial format.
 """
 
@@ -60,22 +58,6 @@ def _reduce_step(h: list, g: list) -> list:
     lcg = g[0][1]
     d = gcd(lch, lcg)
     return _strip(_combine(h, lcg // d, 0, g, -(lch // d), h[0][0] - g[0][0]))
-
-
-def _reduce_tracked(hv: list, gv: list) -> list:
-    """:func:`_reduce_step` of h by g, applied alike to each entry of the vectors.
-
-    hv = [h, ...] is the vector of h and gv = [g, ...] that of the reducer.
-    The content is divided out of the whole vector at once, so a relation
-    h = sum(c_i * e_i) between the entries, linear with polynomial
-    coefficients, is kept exactly.
-    """
-    h, g = hv[0], gv[0]
-    d = gcd(h[0][1], g[0][1])
-    a, b, s = g[0][1] // d, -(h[0][1] // d), h[0][0] - g[0][0]
-    out = [_combine(p, a, 0, q, b, s) for p, q in zip(hv, gv)]
-    c = gcd(*(v for p in out for _, v in p))
-    return [[(code, v // c) for code, v in p] for p in out]
 
 
 def _spoly(t1: list, t2: list, lcm: int) -> list:
@@ -158,8 +140,7 @@ def _mora_nf(
     trunc: "int | None" = None,
     budget: "int | None" = None,
     swelling: "Callable[[], object] | None" = None,
-    track: bool = False,
-) -> "tuple[list | None, int | list | None]":
+) -> "tuple[list | None, int | None]":
     """Mora weak normal form of h against a list of reducers (:func:`_reducer`).
 
     Reducer choice: among the reducers whose leading monomial divides the
@@ -187,26 +168,10 @@ def _mora_nf(
 
     ``swelling`` is called, at most once, when a leading coefficient first
     passes _SWELL_BITS: a true result gives up now.
-
-    ``track``, passed by :func:`mora_normal_form` alone and never with
-    ``trunc``, carries the vector [h, u, q_1, ..., q_n] with
-    h = u*h_0 - sum(q_i * g_i) through the walk, g_i the basis; each
-    reducer then holds its own vector in place of its term list.  A walk
-    that does not give up then returns [u, q_1, ..., q_n] in place of the
-    budget, and a normal form r, not normalized, with
-    u*h_0 = sum(q_i * g_i) + r.
     """
     if trunc is not None:
         h = _truncate(h, trunc)
     reducers = list(basis)
-    vec = None
-    if track:
-        n = len(basis)
-        vec = [h, [(0, 1)]] + [[] for _ in range(n)]
-        reducers = [
-            (*r[:4], [r[-1], []] + [[(0, -1)] if j == i else [] for j in range(n)])
-            for i, r in enumerate(basis)
-        ]
     while h:
         if budget is not None:
             budget -= 1
@@ -231,17 +196,11 @@ def _mora_nf(
             break
         ecg, t = best
         if ecg > _ecart(h):
-            reducers.append(_reducer(h) if vec is None else (*_reducer(h)[:4], vec))
-        if vec is None:
-            h = _reduce_step(h, t)
-        else:
-            vec = _reduce_tracked(vec, t)
-            h = vec[0]
+            reducers.append(_reducer(h))
+        h = _reduce_step(h, t)
         if trunc is not None:
             h = _truncate(h, trunc)
-    if vec is None:
-        return _strip(h), budget
-    return h, vec[1:]
+    return _strip(h), budget
 
 
 _SWELL = "swell"
@@ -414,19 +373,14 @@ def _std(gens) -> "tuple[list | None, tuple | str | None]":
 class _Infinite:
     """Colength of an ideal that is not zero-dimensional.  A value, not an error."""
 
-    _singleton = None
     __slots__ = ()
-
-    def __new__(cls):
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
 
     def __repr__(self) -> str:
         return "infinite"
 
     def __reduce__(self):
-        return (_Infinite, ())
+        # the module's name: pickle and copy hand back the one value
+        return "INFINITE"
 
 
 INFINITE = _Infinite()
@@ -534,7 +488,7 @@ class StandardBasis:
 # -- public operations ------------------------------------------------------
 
 
-def mora_normal_form(f: Poly, basis, certificate: bool = False):
+def mora_normal_form(f: Poly, basis) -> Poly:
     """Weak normal form of f against a list of nonzero polynomials.
 
     The result r has a leading monomial divisible by no leading monomial of
@@ -543,44 +497,25 @@ def mora_normal_form(f: Poly, basis, certificate: bool = False):
     returned representative is normalized up to a unit (integer coefficients,
     content-free, positive leading coefficient).
 
-    With ``certificate=True`` the walk also tracks the relation and returns a
-    triple ``(r, u, cofactors)`` with u*f == sum(cofactors[i]*basis[i]) + r
-    exactly and u(0) != 0.  Only that relation and u being a unit are
-    promised: the triple is fixed only up to a common nonzero rational
-    factor, and r is not normalized.  For 3*y^3 against [x^4 - y^3], both
-    (x^4, 1/3, [-1]) and (3*x^4, 1, [-3]) are such triples.
-
     When the leading monomials of the basis, standard or not, have a
     staircase bound N, m^N lies in the ideal (see :func:`_chain`), so the
-    walk drops terms of degree >= N and is finite.  Without such N, or with
-    a certificate, whose relation dropped terms would break, it runs under
-    the step budget and coefficient limit of every walk, and raises
+    walk drops terms of degree >= N and is finite.  Without such N it runs
+    under the step budget and coefficient limit of every walk, and raises
     RuntimeError past either.
     """
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("normal form against a basis containing zero")
-    if f.is_zero:
-        return (f, Poly.one(), [f] * len(basis)) if certificate else f
     reducers = [_reducer(g.prim) for g in basis]
-    trunc = None if certificate else _chain([r[:2] for r in reducers])[1]
+    trunc = _chain([r[:2] for r in reducers])[1]
     budget = _NF_STEP_BUDGET if trunc is None else None
-    r, rest = _mora_nf(f.prim, reducers, trunc, budget, track=certificate)
+    r, _ = _mora_nf(f.prim, reducers, trunc, budget)
     if r is None:
         raise RuntimeError(
             f"the walk gave up: more than {_NF_STEP_BUDGET} steps "
             f"or a coefficient past {_COEFF_BIT_LIMIT} bits"
         )
-    if not certificate:
-        return _to_poly(r)
-    # The walk relates the primitive parts f.prim and g.prim; scale u and
-    # each cofactor back by the contents.
-    u, *qs = rest
-    return (
-        _to_poly(r),
-        _to_poly(u).scale(1 / f.content),
-        [_to_poly(q).scale(1 / g.content) for q, g in zip(qs, basis)],
-    )
+    return _to_poly(r)
 
 
 # -- exact gcd in Z[x, y] ---------------------------------------------------

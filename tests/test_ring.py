@@ -133,6 +133,45 @@ class TestArithmetic:
                 assert base**n == product
                 product = product * base
 
+    def test_fraction_coercion(self):
+        assert Poly([((1, 0), 0.5)]) == Fraction(1, 2) * X
+
+    def test_operands_that_are_not_polynomials(self):
+        for op in (lambda: X + 1, lambda: X - 1, lambda: X * "x"):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(ValueError):
+            X**-1
+
+
+class TestPolyValue:
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            setattr(X, "content", 1)
+
+    def test_zero_has_no_leading_term(self):
+        with pytest.raises(ValueError):
+            Poly.zero().leading_monomial()
+        with pytest.raises(ValueError):
+            Poly.zero().leading_coefficient()
+
+    def test_truth_and_repr(self):
+        assert not Poly.zero()
+        assert X
+        assert repr(X) == "Poly(x)"
+
+    def test_negative_exponents_refused(self):
+        # a negative exponent has no code: it would borrow from the degree
+        # bits and read as another monomial
+        for make in (
+            lambda: Poly.term((1, -1)),
+            lambda: Poly.term((-3, 5)),
+            lambda: Poly([((0, -1), 1)]),
+            lambda: Poly.from_dict({(-1, 2): 3}),
+        ):
+            with pytest.raises(ValueError, match="negative exponent"):
+                make()
+
 
 class TestMultiplicity:
     def test_examples(self):
