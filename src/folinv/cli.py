@@ -31,12 +31,10 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import json
 import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2, prod
 from typing import NamedTuple
@@ -356,8 +354,7 @@ def _all_finite(value) -> bool:
     return True
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     """Result of one evaluated verb line, ready for formatting and exit-code logic."""
 
     command: str
@@ -410,8 +407,7 @@ _FOLIATION_CURVE = _FOLIATION + (_arg("--f", required=True),)
 _PQF = ("P", "Q", "f")
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     """One verb or one check name: its arguments and how it is evaluated.
 
     ``run`` maps the parsed arguments to the result; it reads the reported
@@ -701,6 +697,8 @@ def _evaluate_verb(args) -> Outcome:
 
 def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
     if fmt == "json":
+        import json  # only JSON output needs it
+
         return json.dumps(
             {
                 "command": outcome.command,
@@ -716,6 +714,8 @@ def _render(outcome: Outcome, fmt: str, elapsed_ms: int) -> str:
 
 def _scenarios(args) -> tuple:
     """List or run the scenarios of the registry: (output text, exit code)."""
+    import json  # only JSON output needs it
+
     registry = scenarios_mod.load_registry(args.registry)
     as_json = args.format == "json"
     if args.action == "list":

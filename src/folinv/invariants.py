@@ -20,15 +20,16 @@ value INFINITE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from typing import NamedTuple
 
 from .ring import Poly
 from .stdbasis import (
     Ideal,
+    _Value,
     colength,
     contains,
     is_finite,
@@ -48,17 +49,17 @@ def _natural(value, name: str) -> int:
 # -- domain types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveGerm:
+class CurveGerm(_Value):
     """The germ of a curve C = {f = 0} through the origin."""
 
-    f: Poly
+    _fields = __slots__ = ("f",)
 
-    def __post_init__(self):
-        if self.f.is_zero:
+    def __init__(self, f: Poly):
+        if f.is_zero:
             raise PreconditionError("a curve germ needs a nonzero equation")
-        if self.f.constant_term() != 0:
+        if f.constant_term() != 0:
             raise PreconditionError("a curve germ must pass through the origin")
+        object.__setattr__(self, "f", f)
 
     @property
     def multiplicity(self) -> int:
@@ -69,8 +70,7 @@ def curve(f: Poly) -> CurveGerm:
     return CurveGerm(f)
 
 
-@dataclass(frozen=True)
-class Foliation:
+class Foliation(_Value):
     """w = P dx + Q dy with P and Q coprime at the origin.
 
     Coprimality (equivalently: the singular point is isolated) is part of the
@@ -78,16 +78,17 @@ class Foliation:
     finite.
     """
 
-    P: Poly
-    Q: Poly
+    _fields = __slots__ = ("P", "Q")
 
-    def __post_init__(self):
-        if self.P.is_zero and self.Q.is_zero:
+    def __init__(self, P: Poly, Q: Poly):
+        if P.is_zero and Q.is_zero:
             raise PreconditionError("a foliation needs P, Q not both zero")
-        if not is_finite(colength(Ideal.of(self.P, self.Q))):
+        if not is_finite(colength(Ideal.of(P, Q))):
             raise PreconditionError(
                 "P and Q share a factor through the origin (singularity not isolated)"
             )
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
 
     @property
     def multiplicity(self) -> int:
@@ -104,21 +105,21 @@ def hamiltonian(f: Poly) -> Foliation:
     return Foliation(f.partial_x(), f.partial_y())
 
 
-@dataclass(frozen=True)
-class ReducedSingularityKind:
+class ReducedSingularityKind(_Value):
     """Reduced-singularity type: non-degenerate, or a saddle-node with index l >= 1.
 
     The saddle-node index l is the parameter of the normal form
     x^(l+1) dy - y(1 + c x^l) dx.
     """
 
-    saddle_node_index: "int | None" = None
+    _fields = __slots__ = ("saddle_node_index",)
 
-    def __post_init__(self):
-        if self.saddle_node_index is not None and (
-            not isinstance(self.saddle_node_index, int) or self.saddle_node_index < 1
+    def __init__(self, saddle_node_index: "int | None" = None):
+        if saddle_node_index is not None and (
+            not isinstance(saddle_node_index, int) or saddle_node_index < 1
         ):
             raise PreconditionError("a saddle-node index must be an integer >= 1")
+        object.__setattr__(self, "saddle_node_index", saddle_node_index)
 
     @classmethod
     def non_degenerate(cls) -> "ReducedSingularityKind":
@@ -129,8 +130,7 @@ class ReducedSingularityKind:
         return cls(index)
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     """Weights (w1, w2; d) with a*w1 + b*w2 = d for every monomial x^a y^b of f."""
 
     w1: Fraction
@@ -138,8 +138,7 @@ class WeightData:
     d: Fraction
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """One invariant computed by the engine and, when available, by a closed form."""
 
     name: str

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import shlex
 import time
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+from typing import NamedTuple
 
 
 class RegistryError(ValueError):
@@ -30,8 +28,7 @@ class RegistryError(ValueError):
     scenario id."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     id: str
     description: str
     paper_location: str
@@ -39,8 +36,7 @@ class Scenario:
     expected: str
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario_id: str
     computed: str
     expected: str
@@ -49,6 +45,8 @@ class RunReport:
 
 
 def _bundled_registry_text() -> str:
+    from importlib import resources  # only the bundled registry needs it
+
     return resources.files("folinv").joinpath("data/scenarios.txt").read_text(
         encoding="utf-8"
     )
@@ -78,16 +76,19 @@ def parse_registry(text: str) -> tuple:
 def load_registry(path=None) -> tuple:
     """Load the bundled registry, or the one at ``path`` if given.
 
-    A path that cannot be read raises RegistryError.
+    A path that cannot be read, or whose content is not UTF-8, raises
+    RegistryError.
     """
     if path is None:
         text = _bundled_registry_text()
     else:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
             raise RegistryError(
-                f"cannot read registry {str(path)!r}: {exc.strerror or exc}"
+                f"cannot read registry {str(path)!r}: {reason}"
             ) from None
     return parse_registry(text)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
@@ -390,14 +389,49 @@ def is_finite(c) -> bool:
     return c is not INFINITE
 
 
-@dataclass(frozen=True)
-class Ideal:
+class _Value:
+    """An immutable value, compared, hashed and shown by its ``_fields``.
+
+    A subclass names its fields in ``_fields``, and in ``__slots__`` unless
+    it needs a ``__dict__``, and sets them in ``__init__`` through
+    ``object.__setattr__``, as :class:`~folinv.ring.Poly` does.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild the value through __init__
+        return type(self), self._key()
+
+
+class Ideal(_Value):
     """Finitely generated ideal of the local ring; zero generators are dropped."""
 
-    generators: tuple[Poly, ...] = ()
+    _fields = __slots__ = ("generators",)
 
-    def __post_init__(self):
-        gens = tuple(g for g in self.generators if not g.is_zero)
+    def __init__(self, generators: tuple[Poly, ...] = ()):
+        gens = tuple(g for g in generators if not g.is_zero)
         object.__setattr__(self, "generators", gens)
 
     @classmethod
@@ -436,8 +470,7 @@ def maximal_ideal_power(k: int) -> Ideal:
     return Ideal(tuple(Poly.term((k - i, i)) for i in range(k + 1)))
 
 
-@dataclass(frozen=True)
-class StandardBasis:
+class StandardBasis(_Value):
     """Standard basis of an ideal: monic elements, minimal set of leading monomials.
 
     ``packed`` holds the elements as the engine computed them, as term
@@ -445,10 +478,14 @@ class StandardBasis:
     strictly increase and the y-exponents strictly decrease (see
     :func:`_chain`).  ``elements`` and ``leading_monomials`` are read off
     them on first access, in the same order, and so is ``_staircase``, the
-    (bound, colength) of :func:`_chain`.
+    (bound, colength) of :func:`_chain`; they are kept in the instance
+    ``__dict__``.
     """
 
-    packed: tuple
+    _fields = ("packed",)
+
+    def __init__(self, packed: tuple):
+        object.__setattr__(self, "packed", packed)
 
     @cached_property
     def elements(self) -> tuple[Poly, ...]:

@@ -186,6 +186,13 @@ def run_cli(capsys, *argv):
 
 
 class TestDispatch:
+    def test_outcome_is_an_immutable_record(self):
+        one, two = evaluate(["milnor", "x^2+y^3"]), evaluate(["milnor", "x^2+y^3"])
+        assert one is not two and one == two
+        assert (one.command, one.k, one.result) == ("milnor", 0, 2)
+        with pytest.raises(AttributeError):
+            one.result = 3
+
     def test_tjurina_example(self, capsys):
         assert run_cli(capsys, "tjurina", "--k", "8", "x^5+y^5+x^3*y^3")[:2] == (0, "50")
 
@@ -686,6 +693,17 @@ class TestScenariosVerb:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read registry {path!r}: {reason}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_registry_that_is_not_utf8_is_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a | d | section-1 | milnor x^2 | 1\n# \xff\n")
+        argv = ("scenarios", "run", "--all", "--registry", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read registry {str(path)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 37: invalid start byte\n"
+        )
 
     def test_list_with_custom_registry(self, capsys, tmp_path):
         reg = tmp_path / "reg.txt"

@@ -1,8 +1,11 @@
 """Every name a module of the package imports is used in that module, every
 private top-level function, class or assigned name is referenced in the
 package, no module imports sympy (the engine computes its exact gcds on
-its own term lists), and ``folinv.__all__`` lists exactly the public names
-the package binds.
+its own term lists) or dataclasses (it imports inspect, and each class it
+makes compiles generated methods, on every cold start), ``json``,
+``importlib.resources`` and ``pathlib`` are imported only inside the
+functions that use them, and ``folinv.__all__`` lists exactly the public
+names the package binds.
 
 ``__init__.py`` is exempt from the first check: it imports names to
 re-export them.  A name counts as used when it appears as a name anywhere
@@ -11,6 +14,9 @@ module also counts as used as an attribute (``stdbasis._std``).
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -147,6 +153,84 @@ def test_the_check_sees_an_import_of_sympy():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_imports_sympy(path):
     assert "sympy" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+LAZY = ("json", "importlib.resources", "pathlib")
+
+
+def eager_imports(source: str) -> set:
+    """The dotted names a source imports when it is loaded, that is outside
+    any function body: ``from a import b`` gives ``a`` and ``a.b``; relative
+    imports left out."""
+    out = set()
+    stack = [ast.parse(source)]
+    while stack:
+        for node in ast.iter_child_nodes(stack.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                out |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                out |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+            stack.append(node)
+    return out
+
+
+def lazy_imported_eagerly(source: str) -> list:
+    """The modules of LAZY, or their submodules, that a source imports when
+    it is loaded."""
+    return sorted(
+        name
+        for name in eager_imports(source)
+        if any(name == lazy or name.startswith(lazy + ".") for lazy in LAZY)
+    )
+
+
+def test_the_check_sees_an_eager_import():
+    source = (
+        "import json\n"
+        "from importlib import resources\n"
+        "from . import pathlib\n"
+        "if True:\n"
+        "    from pathlib import Path\n"
+        "class A:\n"
+        "    import importlib.resources.abc\n"
+        "    def f(self):\n"
+        "        import json.decoder\n"
+        "def g():\n"
+        "    from pathlib import PurePath\n"
+    )
+    assert lazy_imported_eagerly(source) == [
+        "importlib.resources",
+        "importlib.resources.abc",
+        "json",
+        "pathlib",
+        "pathlib.Path",
+    ]
+    assert lazy_imported_eagerly("import importlib\nimport jsonschema\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_json_resources_and_pathlib_are_imported_lazily(path):
+    assert lazy_imported_eagerly(path.read_text()) == []
+
+
+def test_the_cli_loads_without_dataclasses():
+    src = str(Path(folinv.__file__).parent.parent)
+    code = "import sys, folinv.cli; print('dataclasses' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def test_all_lists_exactly_the_public_names():

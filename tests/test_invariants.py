@@ -85,6 +85,43 @@ class TestCurveAndFoliationTypes:
         assert sn.saddle_node_index == 2
         with pytest.raises(PreconditionError):
             ReducedSingularityKind.saddle_node(0)
+        assert repr(sn) == "ReducedSingularityKind(saddle_node_index=2)"
+        assert repr(curve(X * Y)) == "CurveGerm(f=Poly(x*y))"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CurveGerm(F_RUN),
+            lambda: Foliation(4 * X**3, -3 * Y**2),
+            lambda: ReducedSingularityKind(2),
+            lambda: WeightData(Fraction(1, 4), Fraction(1, 3), Fraction(1)),
+            lambda: InvariantReport("milnor_2", 12, 12),
+        ],
+        ids=[
+            "CurveGerm", "Foliation", "ReducedSingularityKind", "WeightData", "InvariantReport"
+        ],
+    )
+    def test_value_semantics(self, make):
+        one, two = make(), make()
+        assert one is not two and one == two and hash(one) == hash(two)
+        name = one._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(one, name, None)
+        assert getattr(one, name) == getattr(two, name)
+
+    def test_values_differ_by_field(self):
+        assert CurveGerm(F_RUN) != CurveGerm(NODE)
+        assert Foliation(X, Y) != Foliation(Y, X)
+        assert ReducedSingularityKind(1) != ReducedSingularityKind.non_degenerate()
+        assert CurveGerm(X) != Ideal.of(X)
+
+    def test_equal_pairs_share_one_invariance_check(self):
+        # registry rows build equal but distinct foliations and curves;
+        # value equality makes the second pair a hit of is_invariant's cache
+        is_invariant.cache_clear()
+        assert is_invariant(hamiltonian(F_RUN), curve(F_RUN))
+        assert is_invariant(hamiltonian(F_RUN), curve(F_RUN))
+        assert is_invariant.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 class TestCurveInvariants:

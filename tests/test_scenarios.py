@@ -1,5 +1,7 @@
 """Registry parsing, scenario execution, and batch-run reporting."""
 
+import re
+
 import pytest
 
 from folinv.scenarios import (
@@ -55,8 +57,11 @@ class TestParseRegistry:
         assert [sc.id for sc in load_registry(p)] == ["a-first", "b-second"]
 
     def test_unreadable_path_is_a_registry_error(self, tmp_path):
-        for path in (tmp_path / "missing.txt", tmp_path):
-            with pytest.raises(RegistryError, match="cannot read registry"):
+        not_utf8 = tmp_path / "bad.txt"
+        not_utf8.write_bytes(b"a | d | section-1 | milnor x^2 | 1\n# \xff\n")
+        for path in (tmp_path / "missing.txt", tmp_path, not_utf8):
+            message = f"cannot read registry {str(path)!r}: "
+            with pytest.raises(RegistryError, match=re.escape(message)):
                 load_registry(path)
 
 
@@ -233,3 +238,21 @@ class TestRunAll:
         )
         assert [r.passed for r in reports] == [False, True]
         assert summary == {"total": 2, "passed": 1, "failed": 1}
+
+
+class TestRecords:
+    """Scenario and RunReport are immutable records compared by value."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Scenario("a", "d", "section-1", "milnor x^2", "1"),
+            lambda: RunReport("a", "1", "1", True, 3),
+        ],
+        ids=["Scenario", "RunReport"],
+    )
+    def test_value_semantics(self, make):
+        one, two = make(), make()
+        assert one is not two and one == two and hash(one) == hash(two)
+        with pytest.raises(AttributeError):
+            one.expected = "2"

@@ -1320,6 +1320,54 @@ class TestIdealType:
     def test_repr(self):
         assert repr(Ideal.of(X, Y)) == "Ideal(x, y)"
 
+    def test_value_semantics(self):
+        one, two = Ideal.of(X, Y), Ideal.of(X, Poly.zero(), Y)
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert one != Ideal.of(X) and one != (X, Y)
+        with pytest.raises(AttributeError):
+            one.generators = (X,)
+        with pytest.raises(AttributeError):
+            del one.generators
+        assert one.generators == (X, Y)
+
+
+class TestStandardBasisType:
+    def test_value_semantics(self):
+        ideal = Ideal.of(X**2 - Y**3, X * Y)
+        one, two = standard_basis(ideal), StandardBasis(standard_basis(ideal).packed)
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert one != StandardBasis(())
+        with pytest.raises(AttributeError):
+            one.packed = ()
+        assert copy.copy(one) == one == pickle.loads(pickle.dumps(one))
+
+    def test_cached_properties(self):
+        sb = StandardBasis(standard_basis(Ideal.of(X**2, Y**3)).packed)
+        assert vars(sb) == {"packed": sb.packed}
+        assert sb.elements == (Y**3, X**2)
+        assert sb.leading_monomials == ((0, 3), (2, 0))
+        assert sb._staircase == (4, 6) and sb._factor is None
+        cached = {"elements", "leading_monomials", "_staircase", "_factor"}
+        assert set(vars(sb)) == {"packed"} | cached
+        assert sb == StandardBasis(sb.packed)  # the cache is not part of the value
+
+    def test_split_route_presets_the_factor(self, monkeypatch):
+        # with no Mora budget, a shared factor g sends the run to the split
+        # route, which keeps (g, basis of the cofactor ideal) on the basis
+        monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
+        stdbasis._standard_basis_cached.cache_clear()
+        try:
+            g = X + Y + X * Y
+            ideal = Ideal.of(g * (X**2 - Y**3), g * (X * Y + Y**4), g * X**3)
+            sb = standard_basis(ideal)
+            assert "_factor" in vars(sb)
+            h, inner = sb._factor
+            assert stdbasis._to_poly(h) == g
+            assert stdbasis._dim(inner) == 5
+            assert contains(ideal, g * X**3) and not contains(ideal, X**3)
+        finally:
+            stdbasis._standard_basis_cached.cache_clear()
+
 
 def test_infinite_is_one_value():
     # pickle and copy hand back the module's INFINITE, so `is` tests hold
