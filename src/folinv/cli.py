@@ -375,8 +375,8 @@ class Outcome(NamedTuple):
 # -- command table ------------------------------------------------------------
 
 
-# Orders beyond this run for minutes to hours: mu^1000 of x^5+y^7+2x^2y^3 did
-# not finish in two minutes on 2 cores.
+# A cold order k makes one Mora run per order up to k, each on a larger basis:
+# mu^1000 of x^5+y^7+2x^2y^3 takes about 6 s on 2 cores.
 _COUNT_CAP = 100
 
 

@@ -149,6 +149,10 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the value through __new__, not __setattr__
+        return Poly, (self.terms,)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

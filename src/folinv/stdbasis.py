@@ -933,12 +933,14 @@ class _BasisCache:
     J zero, is the entry of the generators J + P with k = 0: those serve
     :func:`standard_basis`, :func:`leading_ideal` and :func:`contains`.
 
-    On a miss with k > 0, when the entry for k - 1 is present with basis G,
-    the basis is computed from x*G, y*G and P, which generate
-    m(m^(k-1) J + P) + P = m^k J + P; otherwise from the products of J with
-    the monomials of degree k, and P.  Only a present entry seeds a miss:
-    going down to k = 0 costs more than the direct route on a cold ideal.
-    Hits and misses are counted as by :func:`functools.lru_cache`.
+    A miss with k > 0 is computed from the entry for k - 1, with basis G:
+    x*G, y*G and P generate m(m^(k-1) J + P) + P = m^k J + P, so m^k J is
+    never expanded.  When that entry is absent, the miss first fills the
+    orders from the highest one present below k, or from k = 0, up to k - 1,
+    in increasing order through the cache itself; each of those calls finds
+    the entry below it, so the calls nest at most two deep.
+    Hits and misses are counted as by :func:`functools.lru_cache`, and the
+    fill counts as calls: a cold order k makes k + 1 misses and k - 1 hits.
     """
 
     def __init__(self, maxsize: int):
@@ -959,17 +961,18 @@ class _BasisCache:
             return sb
         self._misses += 1
         gens, k, plus = key
-        prev = self._entries.get(self._key(gens, k - 1, plus)) if k else None
-        if prev is not None:
+        if k:
+            j = k - 1
+            while j and self._key(gens, j, plus) not in self._entries:
+                j -= 1
+            for i in range(j, k):  # each call finds the entry for i - 1
+                prev = self(gens, i, plus)
             sb = _standard_basis_from_gens(
                 tuple(_shift(t, s) for s in (_X, _Y) for t in prev.packed) + plus
             )
-            _check_step(prev, sb, gens, k)
+            _check_step(prev, sb, gens, k, plus)
         else:
-            shifts = [_encode((k - i, i)) for i in range(k + 1)]
-            sb = _standard_basis_from_gens(
-                tuple(_shift(t, s) for t in gens for s in shifts) + plus
-            )
+            sb = _standard_basis_from_gens(gens + plus)
         self._entries[key] = sb
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -983,18 +986,28 @@ class _BasisCache:
         self._hits = self._misses = 0
 
 
-def _check_step(prev: StandardBasis, sb: StandardBasis, gens: tuple, k: int) -> None:
+def _check_step(
+    prev: StandardBasis, sb: StandardBasis, gens: tuple, k: int, plus: tuple
+) -> None:
     """Assert 0 <= colength(m^k J + P) - colength(m^(k-1) J + P) <= ord(J) + k.
 
     The quotient (m^(k-1) J + P)/(m^k J + P) is spanned by the image of
     m^(k-1) J / m^k J, whose dimension is the minimal number of generators of
     m^(k-1) J (Nakayama); in a two-dimensional regular local ring that is at
     most its order plus one (Huneke 1988).  A step outside is a wrong basis.
+
+    When P = (f), the step is also at most ord(f).  In A = O/(f), with
+    N = m^(k-1) J A and a linear form l outside the tangent cone of f, l is a
+    nonzerodivisor on A with dim A/lA = ord(f), so the step
+    dim A/mN - dim A/N is at most dim A/lN - dim A/N = ord(f)
+    (Northcott-Rees 1954).
     """
     before, after = _dim(prev), _dim(sb)
     if before is INFINITE or after is INFINITE:
         return
     bound = min(t[0][0] >> _SHIFT for t in gens) + k
+    if len(plus) == 1:
+        bound = min(bound, plus[0][0][0] >> _SHIFT)
     if not 0 <= after - before <= bound:
         raise RuntimeError(
             f"colength went from {before} to {after} at k = {k}, "
@@ -1022,8 +1035,9 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
 
     Finite exactly when the leading ideal contains a pure power of x and a
     pure power of y; otherwise, as for the zero ideal, returns INFINITE.
-    m^k * ideal is never expanded into polynomials: a sweep over k reuses
-    the basis for k - 1 (see :class:`_BasisCache`).
+    m^k * ideal is never expanded into polynomials: the basis for k comes
+    from the basis for k - 1, and a cold k fills the orders below it first
+    (see :class:`_BasisCache`).
     """
     if k < 0:
         raise ValueError("negative power of the maximal ideal")

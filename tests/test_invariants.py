@@ -1,5 +1,7 @@
 """Invariants layer: frozen values, closed forms, preconditions, checks."""
 
+import copy
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -64,6 +66,18 @@ class TestCurveAndFoliationTypes:
             CurveGerm(Poly.zero())
         with pytest.raises(PreconditionError):
             CurveGerm(X + Poly.one())  # does not pass through the origin
+
+    def test_values_pickle_and_copy(self):
+        # a Poly is immutable, so each copy is rebuilt from its terms
+        fol = Foliation(4 * X * Y, Y - Fraction(2, 3) * X**2)
+        for value in (X + Y, Poly.zero(), Ideal.of(F_RUN, X * Y), curve(F_RUN), fol):
+            for copied in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert copied == value and hash(copied) == hash(value)
+                assert type(copied) is type(value)
 
     def test_foliation_validation(self):
         fol = Foliation(4 * X * Y, Y - 2 * X**2)

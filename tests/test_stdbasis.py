@@ -206,9 +206,9 @@ class TestStandardBasis:
         assert checked >= 20
 
     def test_chain_criterion_saves_reductions(self, monkeypatch):
-        # mu^12 of x^5 + y^7 + 2x^2y^3 took 34 normal forms with the product
-        # criterion alone and takes 13 with the divisor and neighbour pairs
-        # of the chain
+        # m^12 * j(f) of x^5 + y^7 + 2x^2y^3, expanded into 26 generators,
+        # took 34 normal forms with the product criterion alone and takes 13
+        # with the divisor and neighbour pairs of the chain
         calls = []
         nf = stdbasis._mora_nf
 
@@ -219,15 +219,16 @@ class TestStandardBasis:
         monkeypatch.setattr(stdbasis, "_mora_nf", counted)
         stdbasis._standard_basis_cached.cache_clear()
         f, mu, m = next(_family())
-        assert milnor_k(f, 12) == milnor_k_closed(mu, m, 12)
+        jac = Ideal.of(f.partial_x(), f.partial_y())
+        assert colength(jac * maximal_ideal_power(12)) == milnor_k_closed(mu, m, 12)
         stdbasis._standard_basis_cached.cache_clear()
         assert 0 < len(calls) <= 20
 
     def test_chain_queues_few_pairs(self, monkeypatch):
-        # the same sweep queued 326 pairs when every pair that truncation and
-        # the product criterion left entered the queue; the pairs of the
-        # chain queue 26, and 13 of them are neighbouring shifts of one
-        # generator, whose s-polynomial is zero
+        # the same expanded ideal queued 326 pairs when every pair that
+        # truncation and the product criterion left entered the queue; the
+        # pairs of the chain queue 26, and 13 of them are neighbouring shifts
+        # of one generator, whose s-polynomial is zero
         pushed = []
         push = stdbasis.heappush
 
@@ -238,7 +239,8 @@ class TestStandardBasis:
         monkeypatch.setattr(stdbasis, "heappush", counted)
         stdbasis._standard_basis_cached.cache_clear()
         f, mu, m = next(_family())
-        assert milnor_k(f, 12) == milnor_k_closed(mu, m, 12)
+        jac = Ideal.of(f.partial_x(), f.partial_y())
+        assert colength(jac * maximal_ideal_power(12)) == milnor_k_closed(mu, m, 12)
         stdbasis._standard_basis_cached.cache_clear()
         assert 0 < len(pushed) <= 40
 
@@ -376,8 +378,50 @@ class TestCaches:
             cached.cache_clear()
 
     def test_sweep_seeds_from_the_previous_k(self, monkeypatch):
-        # a cold k is computed from the expanded generators, without filling
-        # the entries below it; the next k starts from x*G, y*G and (f)
+        # a cold k fills the entries for 0..k - 1 first: the entry for 0 is
+        # the basis of J + (f), and each k > 0 starts from x*G, y*G and (f),
+        # G the basis for k - 1.  m^k * J is never expanded
+        calls = []
+        from_gens = stdbasis._standard_basis_from_gens
+
+        def counted(gens):
+            sb = from_gens(gens)
+            calls.append((gens, sb))
+            return sb
+
+        monkeypatch.setattr(stdbasis, "_standard_basis_from_gens", counted)
+        cached = stdbasis._standard_basis_cached
+        cached.cache_clear()
+        try:
+            f, mu, m = next(_family())
+            jac, plus = Ideal.of(f.partial_x(), f.partial_y()), Ideal.of(f)
+            J, P = stdbasis._pack(jac), stdbasis._pack(plus)
+            tau = colength(jac, 5, plus)
+            assert cached.cache_info()[:2] == (4, 6)  # k - 1 hits, k + 1 misses
+            assert len(calls) == 6 and calls[0][0] == J + P
+            for (_, prev), (gens, _) in zip(calls, calls[1:]):
+                shifted = tuple(stdbasis._shift(t, s) for s in (stdbasis._X, stdbasis._Y)
+                                for t in prev.packed)
+                assert gens == shifted + P and len(gens) == 2 * len(prev.packed) + 1
+            assert [cached(J, k, P) for k in range(6)] == [sb for _, sb in calls]
+            assert tau == colength(jac * maximal_ideal_power(5) + plus)
+        finally:
+            cached.cache_clear()
+
+    def test_deep_cold_order_does_not_recurse(self):
+        # the entries below a cold k are filled in a loop: a call for k - 1
+        # inside the call for k would nest 1500 deep, past the recursion limit
+        cached = stdbasis._standard_basis_cached
+        cached.cache_clear()
+        try:
+            assert colength(Ideal.of(X), 1500, Ideal.of(Y)) == 1501  # (x^1501, y)
+        finally:
+            cached.cache_clear()
+
+    def test_cold_orders_match_the_sweep(self, monkeypatch):
+        # a cold k fills the orders from 0, so no basis is computed from more
+        # than 2|G| + |P| generators: a Mora run on the 82 generators of
+        # m^40 * j(f) and (f) takes seconds on these germs
         sizes = []
         from_gens = stdbasis._standard_basis_from_gens
 
@@ -387,16 +431,18 @@ class TestCaches:
 
         monkeypatch.setattr(stdbasis, "_standard_basis_from_gens", counted)
         cached = stdbasis._standard_basis_cached
-        cached.cache_clear()
         try:
-            f, mu, m = next(_family())
-            jac = Ideal.of(f.partial_x(), f.partial_y())
-            tau = colength(jac, 5, Ideal.of(f))
-            assert cached.cache_info()[:2] == (0, 1) and sizes == [2 * 6 + 1]
-            basis = cached(stdbasis._pack(jac), 5, stdbasis._pack(Ideal.of(f)))
-            seeded = colength(jac, 6, Ideal.of(f))
-            assert sizes[1] == 2 * len(basis.packed) + 1
-            assert tau <= seeded == colength(jac * maximal_ideal_power(6) + Ideal.of(f))
+            for f in ((X**2 + Y**3) * (X**3 + Y**2), (X + Y**2 + 3 * X * Y) ** 3 + 7 * X**7):
+                cached.cache_clear()
+                sizes.clear()
+                cold = tjurina_k(f, 40)
+                jac, plus = Ideal.of(f.partial_x(), f.partial_y()), Ideal.of(f)
+                J, P = stdbasis._pack(jac), stdbasis._pack(plus)
+                assert len(sizes) == 41 and sizes[0] == len(J) + len(P)
+                for k in range(1, 41):
+                    assert sizes[k] <= 2 * len(cached(J, k - 1, P).packed) + len(P)
+                cached.cache_clear()
+                assert cold == [tjurina_k(f, k) for k in range(41)][-1]
         finally:
             cached.cache_clear()
 
@@ -420,11 +466,19 @@ class TestCaches:
         # of m^(k-1), is a step outside the bound
         J = stdbasis._pack(Ideal.of(X, Y))
         basis = {k: standard_basis(maximal_ideal_power(k)) for k in (2, 3, 4)}
-        stdbasis._check_step(basis[2], basis[3], J, 3)
+        stdbasis._check_step(basis[2], basis[3], J, 3, ())
         with pytest.raises(RuntimeError):
-            stdbasis._check_step(basis[2], basis[4], J, 3)
+            stdbasis._check_step(basis[2], basis[4], J, 3, ())
         with pytest.raises(RuntimeError):
-            stdbasis._check_step(basis[3], basis[2], J, 3)
+            stdbasis._check_step(basis[3], basis[2], J, 3, ())
+        # with P = (x), colength(m^k + P) = k: one generator f bounds a step
+        # by ord(f) = 1 too, so a step of 2 fits ord(J) + k and still raises
+        P = stdbasis._pack(Ideal.of(X))
+        cut = {k: standard_basis(maximal_ideal_power(k) + Ideal.of(X)) for k in (1, 2, 3)}
+        stdbasis._check_step(cut[2], cut[3], J, 3, P)
+        stdbasis._check_step(cut[1], cut[3], J, 3, ())
+        with pytest.raises(RuntimeError):
+            stdbasis._check_step(cut[1], cut[3], J, 3, P)
 
     def test_maximal_ideal_powers_are_memoized(self):
         info = maximal_ideal_power.cache_info()
@@ -589,7 +643,7 @@ class TestColength:
         assert count >= 1000, count
 
     def test_large_sweep_stays_on_mora(self, monkeypatch):
-        # mu^400 of x^5 + y^7 + 2x^2y^3 has 802 generators and needs many
+        # m^400 * j(f) of x^5 + y^7 + 2x^2y^3 has 802 generators and needs many
         # short normal forms; the step budget of a run grows with its
         # generators, so the run stays on Mora.  Capped elimination does not
         # finish on this ideal.  Its walks pass the swell mark, but the run
@@ -603,7 +657,8 @@ class TestColength:
         stdbasis._standard_basis_cached.cache_clear()
         try:
             f, mu, m = next(_family())
-            assert milnor_k(f, 400) == milnor_k_closed(mu, m, 400) == 81812
+            expanded = Ideal.of(f.partial_x(), f.partial_y()) * maximal_ideal_power(400)
+            assert colength(expanded) == milnor_k_closed(mu, m, 400) == 81812
         finally:
             stdbasis._standard_basis_cached.cache_clear()
 
@@ -899,9 +954,9 @@ class TestForcedRoutes:
         seeded = {"mu": 0, "tau": 0}
         check = stdbasis._check_step
 
-        def counted(prev, sb, gens, k):
+        def counted(prev, sb, gens, k, plus):
             seeded[invariant] += 1
-            check(prev, sb, gens, k)
+            check(prev, sb, gens, k, plus)
 
         monkeypatch.setattr(stdbasis, "_check_step", counted)
         for f, mu, m in _family():
