@@ -7,129 +7,11 @@ bases, normal forms, colengths, ideal membership), :mod:`folinv.invariants`
 intersection numbers, and the identity checks relating them),
 :mod:`folinv.scenarios` (a registry of frozen reproduction values with a
 batch runner), and :mod:`folinv.cli` (the ``folinv`` command).
-"""
 
-from .ring import (
-    Monomial,
-    Poly,
-    X,
-    Y,
-)
-from .stdbasis import (
-    INFINITE,
-    Ideal,
-    StandardBasis,
-    colength,
-    contains,
-    ideal_product,
-    ideal_sum,
-    is_finite,
-    leading_ideal,
-    maximal_ideal_power,
-    mora_normal_form,
-    standard_basis,
-)
-from .invariants import (
-    CurveGerm,
-    Foliation,
-    InvariantReport,
-    PreconditionError,
-    ReducedSingularityKind,
-    WeightData,
-    check_conjecture1,
-    curve,
-    dim_mk_plus_f_closed,
-    ell_k,
-    foliation_milnor_k,
-    foliation_tjurina_k,
-    gsv_index,
-    gsv_theorem_check,
-    hamiltonian,
-    intersection_number,
-    is_invariant,
-    is_quasihomogeneous_foliation,
-    jacobian_ideal,
-    milnor_bound_check,
-    milnor_k,
-    milnor_k_closed,
-    milnor_report,
-    polar_gsv_check,
-    polar_intersection_k,
-    quasihomogeneous_identity_check,
-    ratio_check,
-    reduced_singularity_invariants,
-    second_type_milnor_check,
-    teissier_k_check,
-    tjurina_k,
-    weighted_homogeneous_weights,
-)
-from .scenarios import (
-    RegistryError,
-    RunReport,
-    Scenario,
-    load_registry,
-    parse_registry,
-    run_all,
-    run_scenario,
-)
+Each public name is imported from its layer (``from folinv.invariants
+import milnor_k``); the package root binds only ``__version__``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Monomial",
-    "Poly",
-    "X",
-    "Y",
-    "INFINITE",
-    "Ideal",
-    "StandardBasis",
-    "colength",
-    "contains",
-    "ideal_product",
-    "ideal_sum",
-    "is_finite",
-    "leading_ideal",
-    "maximal_ideal_power",
-    "mora_normal_form",
-    "standard_basis",
-    "CurveGerm",
-    "Foliation",
-    "InvariantReport",
-    "PreconditionError",
-    "ReducedSingularityKind",
-    "WeightData",
-    "check_conjecture1",
-    "curve",
-    "dim_mk_plus_f_closed",
-    "ell_k",
-    "foliation_milnor_k",
-    "foliation_tjurina_k",
-    "gsv_index",
-    "gsv_theorem_check",
-    "hamiltonian",
-    "intersection_number",
-    "is_invariant",
-    "is_quasihomogeneous_foliation",
-    "jacobian_ideal",
-    "milnor_bound_check",
-    "milnor_k",
-    "milnor_k_closed",
-    "milnor_report",
-    "polar_gsv_check",
-    "polar_intersection_k",
-    "quasihomogeneous_identity_check",
-    "ratio_check",
-    "reduced_singularity_invariants",
-    "second_type_milnor_check",
-    "teissier_k_check",
-    "tjurina_k",
-    "weighted_homogeneous_weights",
-    "RegistryError",
-    "RunReport",
-    "Scenario",
-    "load_registry",
-    "parse_registry",
-    "run_all",
-    "run_scenario",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -458,15 +458,16 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     return i * j
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def maximal_ideal_power(k: int) -> Ideal:
     """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1).
 
     Memoized: callers that expand m^k * J ask for the same few powers over and
-    over; :func:`colength` takes k instead and expands nothing.
+    over; :func:`colength` takes k instead and expands nothing.  The cache is
+    typed, so a float k equal to a cached int still reaches the check below.
     """
-    if k < 0:
-        raise ValueError("negative power of the maximal ideal")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"the power of the maximal ideal must be an int >= 0, not {k!r}")
     return Ideal(tuple(Poly.term((k - i, i)) for i in range(k + 1)))
 
 
@@ -1039,8 +1040,8 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
     from the basis for k - 1, and a cold k fills the orders below it first
     (see :class:`_BasisCache`).
     """
-    if k < 0:
-        raise ValueError("negative power of the maximal ideal")
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"the power of the maximal ideal must be an int >= 0, not {k!r}")
     return _dim(_standard_basis_cached(_pack(ideal), k, _pack(plus)))
 
 

@@ -5,12 +5,13 @@ its own term lists) or dataclasses (it imports inspect, and each class it
 makes compiles generated methods, on every cold start), ``json``,
 ``importlib.resources`` and ``pathlib`` are imported only inside the
 functions that use them, and ``folinv.__all__`` lists exactly the public
-names the package binds.
+names the package binds.  Each layer loads only the layers below it: the
+package root re-exports nothing, so ``import folinv.ring`` loads ``ring``
+alone.
 
-``__init__.py`` is exempt from the first check: it imports names to
-re-export them.  A name counts as used when it appears as a name anywhere
-in the module, string annotations included; a private name of another
-module also counts as used as an attribute (``stdbasis._std``).
+A name counts as used when it appears as a name anywhere in the module,
+string annotations included; a private name of another module also counts
+as used as an attribute (``stdbasis._std``).
 """
 
 import ast
@@ -25,7 +26,6 @@ import pytest
 import folinv
 
 PACKAGE = sorted(Path(folinv.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _annotations(tree):
@@ -107,7 +107,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from fractions import Fraction\nx: 'Fraction'\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -220,9 +220,10 @@ def test_json_resources_and_pathlib_are_imported_lazily(path):
     assert lazy_imported_eagerly(path.read_text()) == []
 
 
-def test_the_cli_loads_without_dataclasses():
+def _fresh(code: str) -> tuple:
+    """(exit code, stdout, stderr) of ``code`` in a fresh ``python -S`` that
+    imports the package from the tree under test."""
     src = str(Path(folinv.__file__).parent.parent)
-    code = "import sys, folinv.cli; print('dataclasses' in sys.modules)"
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -230,7 +231,31 @@ def test_the_cli_loads_without_dataclasses():
         text=True,
         timeout=60,
     )
-    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_the_cli_loads_without_dataclasses():
+    code = "import sys, folinv.cli; print('dataclasses' in sys.modules)"
+    assert _fresh(code) == (0, "False\n", "")
+
+
+LAYERS = {
+    "folinv": "",
+    "folinv.ring": "ring",
+    "folinv.stdbasis": "ring stdbasis",
+    "folinv.invariants": "invariants ring stdbasis",
+    "folinv.scenarios": "scenarios",
+    "folinv.cli": "cli invariants ring scenarios stdbasis",
+}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_layer_loads_only_the_layers_below_it(module):
+    code = (
+        f"import sys, {module}\n"
+        "print(*sorted(m[7:] for m in sys.modules if m.startswith('folinv.')))"
+    )
+    assert _fresh(code) == (0, LAYERS[module] + "\n", "")
 
 
 def test_all_lists_exactly_the_public_names():

@@ -457,6 +457,14 @@ class TestCaches:
             assert colength(Ideal(), 2) is INFINITE
             with pytest.raises(ValueError):
                 colength(J, -1, P)
+            # a non-int order is refused before the cache, cold or warm: a
+            # walk down from 1.5 steps past 0, and 2.0 keys the entry of 2
+            square = Ideal.of(X**2, Y**3)
+            for _cache in ("cold", "warm"):
+                for k in (1.5, 2.0):
+                    with pytest.raises(ValueError):
+                        colength(square, k)
+                assert colength(square, 2) == 12
         finally:
             cached.cache_clear()
 
@@ -487,6 +495,13 @@ class TestCaches:
         assert maximal_ideal_power.cache_info().hits > info.hits
         with pytest.raises(ValueError):
             maximal_ideal_power(-1)
+        # a float k is refused whether or not its int is cached
+        maximal_ideal_power.cache_clear()
+        for _cache in ("cold", "warm"):
+            for k in (1.5, 2.0):
+                with pytest.raises(ValueError):
+                    maximal_ideal_power(k)
+            assert maximal_ideal_power(2) == Ideal.of(X**2, X * Y, Y**2)
 
 
 # x^a + y^b + lam * x^c * y^d, with (c, d) off the segment from (a, 0) to (0, b)
