@@ -3,11 +3,11 @@
 Grammar of polynomial expressions: variables ``x`` and ``y``; integer and
 rational literals (``3``, ``2/5``); operators ``+ - * ^`` with explicit ``*``
 (no implicit multiplication) and ``^`` restricted to nonnegative integer
-exponents up to 10^6; parentheses; insignificant whitespace.  Syntax errors
-carry the byte offset and the set of expected tokens.  A product or power is
-refused before it is computed when a bound on its size, terms times
-coefficient bits, exceeds 10^6; for a single term that is the bits of its
-coefficient, so ``2^1000000`` is refused.
+exponents up to 10^6; parentheses, nested at most 100 deep; insignificant
+whitespace.  Syntax errors carry the byte offset and the set of expected
+tokens.  A product or power is refused before it is computed when a bound on
+its size, terms times coefficient bits, exceeds 10^6; for a single term that
+is the bits of its coefficient, so ``2^1000000`` is refused.
 
 Orders (``--k``, ``--mk``, ``--k-max``) are at most 100.
 
@@ -168,6 +168,9 @@ def _tokenize(text: str) -> list:
 
 
 _EXPONENT_CAP = 10**6
+# The parser recurses five calls deep per open parenthesis, so this cap keeps
+# any accepted text well inside Python's default recursion limit of 1000.
+_DEPTH_CAP = 100
 _SIZE_BUDGET = 10**6
 _ATOM_EXPECTED = {"number", "'x'", "'y'", "'('", "'-'"}
 
@@ -218,6 +221,7 @@ class _Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -257,10 +261,12 @@ class _Parser:
         return node
 
     def _unary(self) -> Poly:
-        if self._peek().kind == "MINUS":
+        negate = False
+        while self._peek().kind == "MINUS":
             self._advance()
-            return -self._unary()
-        return self._power()
+            negate = not negate
+        node = self._power()
+        return -node if negate else node
 
     def _power(self) -> Poly:
         node = self._atom()
@@ -295,8 +301,14 @@ class _Parser:
             self._advance()
             return X if tok.value == "x" else Y
         if tok.kind == "LPAREN":
+            if self.depth == _DEPTH_CAP:
+                raise ParseError(
+                    f"parentheses nested deeper than {_DEPTH_CAP}", tok.offset
+                )
             self._advance()
+            self.depth += 1
             node = self._expr()
+            self.depth -= 1
             closing = self._peek()
             if closing.kind != "RPAREN":
                 raise ParseError(

@@ -6,9 +6,12 @@ pipe-separated fields::
 
     id | description | location | expression | expected
 
-``expression`` is a ``folinv`` command line (without the program name) that is
-re-evaluated through ``cli.evaluate``, the dispatch of the CLI, which refuses
-the ``scenarios`` verb; ``expected`` is the frozen canonical value (integer,
+``expression`` is a ``folinv`` command line without the program name: its
+whitespace-separated arguments are re-evaluated through ``cli.evaluate``, the
+dispatch of the CLI, which refuses the ``scenarios`` verb.  No argument needs
+quoting, as a polynomial has no spaces, so an expression holding a quote or a
+backslash, which a shell would read differently, is refused when the registry
+is parsed.  ``expected`` is the frozen canonical value (integer,
 ``true``/``false``, ``infinite``, comma-joined tuple) or the marker
 ``property`` meaning "the command must report boolean true".  Reports are
 bit-stable runs by construction: scenarios execute in id order, no value
@@ -18,7 +21,6 @@ may vary between runs.
 
 from __future__ import annotations
 
-import shlex
 import time
 from typing import NamedTuple
 
@@ -53,7 +55,8 @@ def _bundled_registry_text() -> str:
 
 
 def parse_registry(text: str) -> tuple:
-    """Parse registry text into scenarios sorted by id; reject duplicates."""
+    """Parse registry text into scenarios sorted by id; reject duplicates and
+    expressions holding a quote or a backslash."""
     scenarios = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -67,6 +70,12 @@ def parse_registry(text: str) -> tuple:
         sid, description, location, expression, expected = fields
         if not sid or not expression or not expected:
             raise RegistryError(f"line {lineno}: empty id, expression, or expected")
+        for c in "'\"\\":
+            if c in expression:
+                raise RegistryError(
+                    f"line {lineno}: expression holds {c!r}; its arguments are"
+                    " separated by whitespace and take no quoting"
+                )
         if sid in scenarios:
             raise RegistryError(f"line {lineno}: duplicate scenario id {sid!r}")
         scenarios[sid] = Scenario(sid, description, location, expression, expected)
@@ -115,7 +124,7 @@ def run_scenario(scenario_or_id, registry=None) -> RunReport:
     sc = _resolve(scenario_or_id, registry)
     start = time.perf_counter()
     try:
-        outcome = cli.evaluate(shlex.split(sc.expression))
+        outcome = cli.evaluate(sc.expression.split())
         computed = cli.canonical(outcome.result)
     except Exception as exc:  # noqa: BLE001 - report, don't abort the batch
         computed = f"error: {exc}"

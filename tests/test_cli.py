@@ -446,6 +446,30 @@ class TestInputLimits:
         assert err.startswith("error: '^' at byte offset 1") and "1000001 bits" in err
         assert time.perf_counter() - start < 1
 
+    def test_parentheses_nest_at_most_100_deep(self, capsys):
+        for depth in (1, 99, 100):
+            assert parse_poly("(" * depth + "x-y^2" + ")" * depth) == X - Y**2
+        for depth in (101, 199, 10000):
+            text = "(" * depth + "x" + ")" * depth
+            with pytest.raises(ParseError, match="nested deeper than 100") as info:
+                parse_poly(text)
+            assert info.value.offset == 100
+        # the 101st parenthesis is refused wherever it opens
+        with pytest.raises(ParseError) as info:
+            parse_poly("x+" + "(y*" * 100 + "(x" + ")" * 101)
+        assert info.value.offset == 2 + 3 * 100
+        code, out, err = run_cli(capsys, "milnor", "(" * 199 + "x" + ")" * 199)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: syntax error at byte offset 100: parentheses nested deeper than 100\n"
+        )
+
+    def test_unary_minus_signs_cancel_without_recursion(self, capsys):
+        assert parse_poly("y+" + "-" * 1000 + "x") == X + Y
+        assert parse_poly("y+" + "-" * 1001 + "x") == Y - X
+        assert parse_poly("-" * 3 + "x^2*--y") == -(X**2) * Y
+        assert run_cli(capsys, "milnor", "y+" + "-" * 1000 + "x") == (0, "0", "")
+
     def test_single_terms_keep_the_exponent_cap(self):
         assert parse_poly("x^100000*y^7") == X**100000 * Y**7
         assert parse_poly("(2*x)^20") == 2**20 * X**20

@@ -7,7 +7,8 @@ makes compiles generated methods, on every cold start), ``json``,
 functions that use them, and ``folinv.__all__`` lists exactly the public
 names the package binds.  Each layer loads only the layers below it: the
 package root re-exports nothing, so ``import folinv.ring`` loads ``ring``
-alone.
+alone; ``folinv.scenarios`` splits its rows on whitespace and loads no
+``shlex``.
 
 A name counts as used when it appears as a name anywhere in the module,
 string annotations included; a private name of another module also counts
@@ -236,6 +237,12 @@ def _fresh(code: str) -> tuple:
 
 def test_the_cli_loads_without_dataclasses():
     code = "import sys, folinv.cli; print('dataclasses' in sys.modules)"
+    assert _fresh(code) == (0, "False\n", "")
+
+
+def test_scenarios_load_without_shlex():
+    # scenario expressions are split on whitespace
+    code = "import sys, folinv.scenarios; print('shlex' in sys.modules)"
     assert _fresh(code) == (0, "False\n", "")
 
 

@@ -1,6 +1,7 @@
 """Registry parsing, scenario execution, and batch-run reporting."""
 
 import re
+import shlex
 
 import pytest
 
@@ -55,6 +56,19 @@ class TestParseRegistry:
         p = tmp_path / "reg.txt"
         p.write_text(VALID_TEXT, encoding="utf-8")
         assert [sc.id for sc in load_registry(p)] == ["a-first", "b-second"]
+
+    @pytest.mark.parametrize("expression", [
+        "milnor 'x^2+y^3'", 'milnor "x^2+y^3"', "milnor x^2+y^3\\ --k 1",
+    ])
+    def test_quotes_and_backslashes_rejected(self, tmp_path, expression):
+        # a shell would read these differently from the whitespace split
+        text = f"# ok\nok | a | s | milnor x^2 | 1\nq | b | s | {expression} | 2\n"
+        with pytest.raises(RegistryError, match="^line 3: expression holds"):
+            parse_registry(text)
+        p = tmp_path / "quoted.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(RegistryError, match="^line 3: expression holds"):
+            load_registry(p)
 
     def test_unreadable_path_is_a_registry_error(self, tmp_path):
         not_utf8 = tmp_path / "bad.txt"
@@ -111,6 +125,10 @@ class TestBundledRegistry:
     def test_locations_all_use_section_tags(self):
         assert all(sc.paper_location.startswith("section-") for sc in self.registry)
 
+    def test_whitespace_split_matches_the_shell(self):
+        for sc in self.registry:
+            assert sc.expression.split() == shlex.split(sc.expression), sc.id
+
 
 class TestRunScenario:
     def test_table_cell(self):
@@ -162,6 +180,14 @@ class TestRunScenario:
         sc = Scenario("help", "", "section-0", "milnor x^2 -h", "1")
         assert run_scenario(sc).computed == "error: help requested"
         assert capsys.readouterr() == ("", "")
+
+    def test_deep_input_reported_as_syntax_error(self):
+        deep = "milnor " + "(" * 199 + "x" + ")" * 199
+        assert run_scenario(Scenario("deep", "", "section-0", deep, "0")).computed == (
+            "error: syntax error at byte offset 100: parentheses nested deeper than 100"
+        )
+        signs = "milnor y+" + "-" * 1000 + "x"
+        assert run_scenario(Scenario("signs", "", "section-0", signs, "0")).passed
 
     def test_scenarios_verb_rejected_inside_scenario(self):
         sc = Scenario("recur", "", "section-0", "scenarios run --all", "true")
