@@ -9,7 +9,16 @@ tokens.  A product or power is refused before it is computed when a bound on
 its size, terms times coefficient bits, exceeds 10^6; for a single term that
 is the bits of its coefficient, so ``2^1000000`` is refused.
 
+A decimal literal has at most 4 300 digits, Python's default limit for
+converting a string to an int.
+
 Orders (``--k``, ``--mk``, ``--k-max``) are at most 100.
+
+Argument lines: a plain line naming a verb (exact long options, values that
+need no argparse rule; see ``_parse_args``) is read from the verb table
+without argparse.  argparse reads every other line, ``-h``, abbreviated
+options and refused lines among them, so help, usage errors and their exit
+codes are argparse's; it is imported and built only for such a line.
 
 Exit codes: 0 for success (including boolean results of ``true``), 1 for a
 ``false``/failed check or any failed scenario, 2 for input errors (bad
@@ -28,7 +37,6 @@ passed, failed failed`` or {total, passed, failed}.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import functools
 import os
@@ -37,7 +45,8 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb, log2, prod
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import scenarios as scenarios_mod
 from .invariants import (
@@ -64,6 +73,9 @@ from .invariants import (
 )
 from .ring import Poly, X, Y, _decode
 from .stdbasis import INFINITE, Ideal, colength
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # -- polynomial expression parser ---------------------------------------------
@@ -113,6 +125,15 @@ def _tokenize(text: str) -> list:
         pos = j
         return nbytes
 
+    def _digits(start: int, end: int) -> int:
+        # Python 3.10.7+ refuses int() of longer strings, earlier versions
+        # convert them in quadratic time
+        if end - start > 4300:
+            raise ParseError(
+                "number has more than 4300 digits", _byte_offset(start)
+            )
+        return int(text[start:end])
+
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -129,14 +150,14 @@ def _tokenize(text: str) -> list:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            num = int(text[i:j])
+            num = _digits(i, j)
             den = 1
             if j < n and text[j] == "/":
                 if j + 1 < n and text[j + 1].isdecimal():
                     k = j + 1
                     while k < n and text[k].isdecimal():
                         k += 1
-                    den = int(text[j + 1 : k])
+                    den = _digits(j + 1, k)
                     if den == 0:
                         raise ParseError(
                             "denominator is zero", _byte_offset(j + 1)
@@ -393,15 +414,16 @@ _COUNT_CAP = 100
 
 
 def _nonneg(text: str) -> int:
-    """An argparse type for orders: an integer in 0.._COUNT_CAP."""
+    """The ``type`` of orders: an integer in 0.._COUNT_CAP.  A refused text
+    raises ValueError with the reason, which argparse prints."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise ValueError(f"{text!r} is not an integer") from None
     if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+        raise ValueError("must be nonnegative")
     if value > _COUNT_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {_COUNT_CAP}")
+        raise ValueError(f"must be at most {_COUNT_CAP}")
     return value
 
 
@@ -562,8 +584,8 @@ VERBS = {
             _arg("--P"),
             _arg("--Q"),
             _arg("--f"),
-            # another spelling of --k: it sets args.k and leaves the default to --k
-            _arg("--k-max", type=_nonneg, default=argparse.SUPPRESS, dest="k"),
+            # another spelling of --k: it sets args.k (see build_parser)
+            _arg("--k-max", type=_nonneg, dest="k"),
             _arg(
                 "--assert-second-type", action="store_true",
                 help="assert the foliation is of second type (required by some checks)",
@@ -600,36 +622,52 @@ class HelpRequested(UsageError):
     """-h or --help; ``parser`` is the parser whose help was asked for."""
 
 
-class _Help(argparse.Action):
-    """-h and --help: raise HelpRequested where argparse's own action would
-    print the help to stdout and exit."""
-
-    def __init__(self, option_strings, dest):
-        super().__init__(
-            option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS,
-            help="show this help message and exit",
-        )
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise HelpRequested(parser, "help requested")
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argparse parser that raises UsageError where argparse would print
-    the usage or the help and exit, so that a scenario row reports the
-    reason and writes nothing."""
-
-    def __init__(self, **kwargs):
-        super().__init__(add_help=False, **kwargs)
-        self.add_argument("-h", "--help", action=_Help)
-
-    def error(self, message):
-        raise UsageError(self, message)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``folinv`` parser.  Its ``verbs`` maps each verb to the subparser
-    that reads the rest of a command line naming it."""
+    that reads the rest of a command line naming it.
+
+    An argument with a ``dest`` of its own is another spelling of the
+    argument that owns the dest and leaves the default to it.
+    """
+    import argparse  # only a line the plain reader declines needs it
+
+    class _Help(argparse.Action):
+        """-h and --help: raise HelpRequested where argparse's own action
+        would print the help to stdout and exit."""
+
+        def __init__(self, option_strings, dest):
+            super().__init__(
+                option_strings, argparse.SUPPRESS, nargs=0,
+                default=argparse.SUPPRESS, help="show this help message and exit",
+            )
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise HelpRequested(parser, "help requested")
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """An argparse parser that raises UsageError where argparse would
+        print the usage or the help and exit, so that a scenario row reports
+        the reason and writes nothing."""
+
+        def __init__(self, **kwargs):
+            super().__init__(add_help=False, **kwargs)
+            self.add_argument("-h", "--help", action=_Help)
+
+        def error(self, message):
+            raise UsageError(self, message)
+
+    def typed(convert: Callable) -> Callable:
+        """convert, its ValueError raised as an ArgumentTypeError, whose
+        message argparse prints as it is."""
+
+        def checked(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return checked
+
     parser = _ArgumentParser(
         prog="folinv",
         description=(
@@ -643,6 +681,10 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, row in VERBS.items():
         p = parser.verbs[verb] = sub.add_parser(verb, help=row.help)
         for flags, options in row.args + (_FORMAT,):
+            if "type" in options:
+                options = {**options, "type": typed(options["type"])}
+            if "dest" in options:
+                options = {**options, "default": argparse.SUPPRESS}
             p.add_argument(*flags, **options)
     return parser
 
@@ -653,15 +695,127 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _value(text: str, options: dict):
+    """text converted and checked as argparse does for an argument declared
+    with options, or None where argparse refuses it."""
+    convert = options.get("type")
+    if convert is not None:
+        try:
+            text = convert(text)
+        except ValueError:
+            return None
+    choices = options.get("choices")
+    return text if choices is None or text in choices else None
+
+
+@functools.cache
+def _reader(verb: str) -> Callable:
+    """The reader of plain ``verb`` lines, built from the verb's table row.
+
+    It maps the tokens after the verb to the namespace argparse's subparser
+    returns for them, with the same attributes, or to None when the line is
+    not plain (see :func:`_parse_args`).
+    """
+    options, positionals, defaults, lists = {}, [], {"verb": verb}, []
+    required = set()
+    for flags, opts in VERBS[verb].args + (_FORMAT,):
+        flag = flags[0]
+        if not flag.startswith("-"):
+            positionals.append((flag, opts))
+            continue
+        dest = opts.get("dest", flag[2:].replace("-", "_"))
+        options[flag] = dest, opts
+        if opts.get("required"):
+            required.add(flag)
+        if "dest" in opts:
+            continue  # another spelling: the default is the owner's
+        store_true = opts.get("action") == "store_true"
+        defaults[dest] = opts.get("default", False if store_true else None)
+        if isinstance(defaults[dest], list):
+            lists.append(dest)
+    # vdim's gens, the only positional that takes a run of any length
+    star = len(positionals) == 1 and positionals[0][1].get("nargs") == "*"
+
+    def read(tokens):
+        args = dict(defaults)
+        for dest in lists:
+            args[dest] = list(args[dest])  # never the shared default
+        run, closed, seen = [], False, set()
+        i, n = 0, len(tokens)
+        while i < n:
+            token = tokens[i]
+            i += 1
+            if not token.startswith("-"):
+                if closed:
+                    return None  # a second run of positionals
+                run.append(token)
+                continue
+            closed = bool(run)  # an option ends a run of positionals
+            flag, eq, text = token.partition("=")
+            if flag not in options:
+                return None
+            dest, opts = options[flag]
+            seen.add(flag)
+            action = opts.get("action")
+            if action == "store_true":
+                if eq:
+                    return None
+                args[dest] = True
+                continue
+            if not eq:
+                if i == n or tokens[i].startswith("-"):
+                    return None
+                text = tokens[i]
+                i += 1
+            value = _value(text, opts)
+            if value is None:
+                return None
+            if action == "append":
+                args[dest].append(value)
+            else:
+                args[dest] = value
+        if not required <= seen:
+            return None
+        if star:
+            dest, opts = positionals[0]
+            args[dest] = [_value(token, opts) for token in run]
+            if None in args[dest]:
+                return None
+        elif len(run) == len(positionals):
+            for (dest, opts), token in zip(positionals, run):
+                args[dest] = _value(token, opts)
+                if args[dest] is None:
+                    return None
+        else:
+            return None
+        return SimpleNamespace(**args)
+
+    return read
+
+
+def _parse_args(argv):
     """Read argv (``sys.argv[1:]`` when None) once.
 
-    A line that starts with a verb is read by that verb's subparser alone, the
-    parser the top-level one would hand the rest of the line to.  Any other
-    line, ``-h`` or an unknown verb among them, goes through the top-level
-    parser.
+    A plain line naming a verb is read by that verb's :func:`_reader`, with
+    no argparse.  Plain means: every option is an exact long option of the
+    verb, written ``--opt VALUE`` with a VALUE that does not start with
+    ``-``, or ``--opt=VALUE``, and ``store_true`` flags are bare; the
+    positionals are one contiguous run that fills the verb's positionals, one
+    token each or ``vdim``'s ``nargs="*"`` run; every required option is
+    given, and every ``type`` call and ``choices`` check passes.  The reader
+    returns the attributes argparse returns, in a ``SimpleNamespace``.
+
+    Any other line goes to argparse, which is imported and built
+    (:func:`_parser`) only then.  A line naming a verb is read by that verb's
+    subparser alone, the parser the top-level one would hand the rest of the
+    line to; any other line, ``-h`` or an unknown verb among them, by the
+    top-level parser.
     """
     argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in VERBS:
+        args = _reader(argv[0])(argv[1:])
+        if args is not None:
+            return args
     parser = _parser()
     subparser = parser.verbs.get(argv[0]) if argv else None
     if subparser is None:

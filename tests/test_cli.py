@@ -378,14 +378,71 @@ class TestExitCodeMatrix:
         assert exc.value.code == 2
 
 
+# (line, read by the plain reader): each line a reader could misread, with
+# argparse as the reference.  A line the reader declines goes to argparse.
+EDGE_LINES = [
+    ("milnor x^3+y^4 --for json", False),  # abbreviated option
+    ("vdim x^2 --mk 3 y^3", False),  # split positional run, refused
+    ("vdim --mk 3 x^2 y^3", True),
+    ("vdim x --plus y --plus x^2", True),
+    ("fol-milnor --P -y --Q x", False),  # value starting with '-'
+    ("milnor --k -1 x^3", False),
+    ("milnor --k=3 x^3", True),
+    ("milnor -- -x^2+y^3", False),
+    ("milnor x^2 x^3", False),  # more positionals than the verb takes
+    ("milnor x^2 -h", False),
+    ("milnor x^2 --format xml", False),  # choices
+    ("check ratio --f x^3+y^4 --k-m 2", False),
+    ("check ratio --f x --k 1 --k-max 2", True),  # the last spelling wins
+    ("check nosuch --f x", False),
+    ("frobnicate x", False),
+    ("scenarios run --all", True),
+    ("", False),
+    ("milnor x^2 --k 101", False),  # type
+    ("milnor x^2 --k", False),
+    ("fol-milnor --P=-y", False),  # a required option missing
+    ("scenarios run --all=1", False),  # a flag with a value
+    ("intersect x --format json y", False),  # split run, accepted by argparse
+    ("fol-milnor --P=-y --Q=x --P 2*y", True),
+]
+
+
 class TestArgv:
-    """A line naming a verb is read once, by that verb's subparser."""
+    """A plain line naming a verb is read from the verb table; argparse,
+    the reference, reads every other line."""
 
     @pytest.mark.parametrize(
         "argv", [pytest.param(shlex.split(sc.expression), id=sc.id) for sc in load_registry()]
     )
     def test_scenario_namespaces_match_the_top_level_parser(self, argv):
-        assert vars(cli._parse_args(argv)) == vars(cli._parser().parse_args(argv))
+        read = cli._reader(argv[0])(argv[1:])
+        assert read is not None  # every bundled row is plain
+        assert vars(read) == vars(cli._parse_args(argv))
+        assert vars(read) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize("line, plain", EDGE_LINES, ids=[line for line, _ in EDGE_LINES])
+    def test_edge_lines_match_argparse(self, line, plain):
+        argv = line.split()
+
+        def parsed(parse):
+            try:
+                return vars(parse(argv))
+            except cli.UsageError as exc:
+                return type(exc), str(exc)
+
+        assert parsed(cli._parse_args) == parsed(cli._parser().parse_args)
+        read = cli._reader(argv[0])(argv[1:]) if argv and argv[0] in cli.VERBS else None
+        assert (read is not None) == plain
+
+    def test_each_plain_line_gets_a_fresh_plus_list(self):
+        one, two = cli._parse_args(["vdim", "x"]), cli._parse_args(["vdim", "x"])
+        assert one.plus == two.plus == [] and one.plus is not two.plus
+        assert cli._parse_args(["vdim", "--plus", "y"]).plus == ["y"]
+        assert cli._parse_args(["vdim", "x"]).plus == []
+
+    def test_k_max_leaves_the_default_to_k(self):
+        assert cli._parse_args(["check", "ratio", "--f", "x"]).k == 0
+        assert cli._parse_args(["check", "ratio", "--f", "x", "--k-max", "3"]).k == 3
 
     def test_help_lists_every_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +502,37 @@ class TestInputLimits:
         assert code == 2
         assert err.startswith("error: '^' at byte offset 1") and "1000001 bits" in err
         assert time.perf_counter() - start < 1
+
+    def test_literals_have_at_most_4300_digits(self, capsys):
+        nines = "9" * 4300
+        assert parse_poly(nines + "*x") == int(nines) * X
+        assert parse_poly("x+1/" + nines) == X + Poly.constant(Fraction(1, int(nines)))
+        for text, offset in [
+            (nines + "9*x", 0),  # coefficient
+            ("x^" + nines + "9", 2),  # exponent
+            ("x+1/" + nines + "9", 4),  # denominator
+            ("y+\u00a0" + nines + "9", 4),  # past a 2-byte space
+        ]:
+            with pytest.raises(ParseError, match="more than 4300 digits") as info:
+                parse_poly(text)
+            assert info.value.offset == offset
+        code, out, err = run_cli(capsys, "milnor", "9" * 5000 + "*x")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: syntax error at byte offset 0: number has more than 4300 digits\n"
+        )
+
+    def test_literal_length_is_decided_by_digit_count(self):
+        # as on Python 3.10.0-3.10.6, which convert strings of any length
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int() digit limit")
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ParseError, match="more than 4300 digits"):
+                parse_poly("x^" + "9" * 5000)
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_parentheses_nest_at_most_100_deep(self, capsys):
         for depth in (1, 99, 100):

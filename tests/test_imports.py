@@ -240,6 +240,15 @@ def test_the_cli_loads_without_dataclasses():
     assert _fresh(code) == (0, "False\n", "")
 
 
+def test_plain_verb_lines_run_without_argparse():
+    code = (
+        "import sys, folinv.cli as cli\n"
+        "print(cli.evaluate(['milnor', 'x^2+y^3']).result, 'argparse' in sys.modules)\n"
+        "print(cli.evaluate(['milnor', 'x^2', '--for', 'json']).result, 'argparse' in sys.modules)"
+    )
+    assert _fresh(code) == (0, "2 False\ninfinite True\n", "")
+
+
 def test_scenarios_load_without_shlex():
     # scenario expressions are split on whitespace
     code = "import sys, folinv.scenarios; print('shlex' in sys.modules)"

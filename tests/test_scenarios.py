@@ -186,6 +186,10 @@ class TestRunScenario:
         assert run_scenario(Scenario("deep", "", "section-0", deep, "0")).computed == (
             "error: syntax error at byte offset 100: parentheses nested deeper than 100"
         )
+        long = "milnor x^" + "9" * 5000
+        assert run_scenario(Scenario("long", "", "section-0", long, "0")).computed == (
+            "error: syntax error at byte offset 2: number has more than 4300 digits"
+        )
         signs = "milnor y+" + "-" * 1000 + "x"
         assert run_scenario(Scenario("signs", "", "section-0", signs, "0")).passed
 
