@@ -12,7 +12,8 @@ is the bits of its coefficient, so ``2^1000000`` is refused.
 A decimal literal has at most 4 300 digits, Python's default limit for
 converting a string to an int.
 
-Orders (``--k``, ``--mk``, ``--k-max``) are at most 100.
+Orders (``--k``, ``--mk``, ``--k-max``) are decimal literals of that rule, in
+ASCII digits, and at most 100.
 
 Argument lines: a plain line naming a verb (exact long options, values that
 need no argparse rule; see ``_parse_args``) is read from the verb table
@@ -414,12 +415,20 @@ _COUNT_CAP = 100
 
 
 def _nonneg(text: str) -> int:
-    """The ``type`` of orders: an integer in 0.._COUNT_CAP.  A refused text
-    raises ValueError with the reason, which argparse prints."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
+    """The ``type`` of orders: an integer in 0.._COUNT_CAP, written as a
+    decimal literal of the polynomial grammar, with an optional sign.
+
+    int() also takes spaces, underscores and non-ASCII digits; this does not.
+    A refused text raises ValueError with the reason, which argparse prints;
+    a long text is quoted cut short.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"{quoted} is not an integer")
+    if len(digits) > 4300:
+        raise ValueError("must have at most 4300 digits")
+    value = int(text)
     if value < 0:
         raise ValueError("must be nonnegative")
     if value > _COUNT_CAP:

@@ -138,21 +138,6 @@ class WeightData(NamedTuple):
     d: Fraction
 
 
-class InvariantReport(NamedTuple):
-    """One invariant computed by the engine and, when available, by a closed form."""
-
-    name: str
-    computed: object
-    closed_form: object = None
-
-    @property
-    def agrees(self) -> "bool | None":
-        """computed == closed_form; None when there is no closed form."""
-        if self.closed_form is None:
-            return None
-        return self.computed == self.closed_form
-
-
 # -- ideal-route invariants ---------------------------------------------------
 
 
@@ -525,15 +510,3 @@ def second_type_milnor_check(F: Foliation, C: CurveGerm, k_max: int) -> bool:
             return False
     return True
 
-
-def milnor_report(f: Poly, k: int) -> InvariantReport:
-    """mu^k(f) by the engine next to its closed form from (mu(f), nu(f)).
-
-    The closed form is omitted when mu(f) is infinite.
-    """
-    computed = milnor_k(f, k)
-    closed = None
-    mu0 = milnor_k(f, 0)
-    if is_finite(mu0) and f.multiplicity() >= 1:
-        closed = milnor_k_closed(mu0, f.multiplicity(), k)
-    return InvariantReport(name=f"milnor_{k}", computed=computed, closed_form=closed)

@@ -365,6 +365,35 @@ class TestExitCodeMatrix:
         assert exc.value.code == 2
         assert "'abc' is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ["1_0", " 7", "7 ", "+7", "\u0663", "9" * 5000 + "x"], ids=repr
+    )
+    def test_orders_are_ascii_digits(self, capsys, text):
+        # int() reads each of these; an order is ASCII digits only, written
+        # --k X or --k=X, on a plain line or on one argparse reads (the
+        # abbreviated --form sends it there), and a long text is cut short
+        assert cli._reader("milnor")(["x^2+y^3", "--k", text]) is None
+        for argv in (["--k", text], [f"--k={text}"], ["--form", "table", "--k", text]):
+            with pytest.raises(SystemExit) as exc:
+                main(["milnor", "x^2+y^3", *argv])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --k: " in err and "is not an integer" in err
+            assert len(err) < 300
+
+    def test_long_orders_follow_the_digit_rule(self, capsys):
+        # at most 4 300 digits, as a literal of the polynomial grammar
+        for text, reason in (
+            ("9" * 4300, "must be at most 100"),
+            ("9" * 5000, "must have at most 4300 digits"),
+            ("0" * 5000 + "7", "must have at most 4300 digits"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["milnor", "x^2+y^3", "--k", text])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"argument --k: {reason}\n")
+        assert cli._nonneg("0" * 4299 + "7") == 7
+
     def test_unrecognized_option_names_the_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["milnor", "x^2", "--bogus"])

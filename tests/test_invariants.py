@@ -15,7 +15,6 @@ from folinv.stdbasis import INFINITE, Ideal, colength, maximal_ideal_power
 from folinv.invariants import (
     CurveGerm,
     Foliation,
-    InvariantReport,
     PreconditionError,
     ReducedSingularityKind,
     WeightData,
@@ -35,7 +34,6 @@ from folinv.invariants import (
     milnor_bound_check,
     milnor_k,
     milnor_k_closed,
-    milnor_report,
     polar_gsv_check,
     polar_intersection_k,
     quasihomogeneous_identity_check,
@@ -109,11 +107,8 @@ class TestCurveAndFoliationTypes:
             lambda: Foliation(4 * X**3, -3 * Y**2),
             lambda: ReducedSingularityKind(2),
             lambda: WeightData(Fraction(1, 4), Fraction(1, 3), Fraction(1)),
-            lambda: InvariantReport("milnor_2", 12, 12),
         ],
-        ids=[
-            "CurveGerm", "Foliation", "ReducedSingularityKind", "WeightData", "InvariantReport"
-        ],
+        ids=["CurveGerm", "Foliation", "ReducedSingularityKind", "WeightData"],
     )
     def test_value_semantics(self, make):
         one, two = make(), make()
@@ -168,9 +163,9 @@ class TestCurveInvariants:
             assert milnor_k(Poly.constant(5), k) is INFINITE  # jacobian is zero
             assert tjurina_k(Poly.zero(), k) is INFINITE
         assert intersection_number(Poly.zero(), Poly.zero()) is INFINITE
-        rep = milnor_report(Poly.zero(), 2)
-        assert rep.computed is INFINITE and rep.closed_form is None
-        assert rep.agrees is None
+        # mu(0) is infinite, so the closed form of mu^k has no input
+        with pytest.raises(PreconditionError):
+            milnor_k_closed(milnor_k(Poly.zero(), 0), 1, 2)
 
     def test_jacobian_ideal(self):
         j = jacobian_ideal(F_RUN)
@@ -494,19 +489,9 @@ class TestChecks:
         assert second_type_milnor_check(F, C, 1)
         assert not second_type_milnor_check(F, C, 3)
 
-    def test_report_consumer(self):
-        rep = milnor_report(F_RUN, 2)
-        assert rep.computed == 12
-        assert rep.closed_form == 12
-        assert rep.agrees is True
-        assert rep.name
-
-    def test_report_agrees_is_read_off_its_fields(self):
-        assert InvariantReport("m", 1).agrees is None
-        assert InvariantReport("m", 1, 2).agrees is False
-        assert InvariantReport("m", 1, 1).agrees is True
-        with pytest.raises(TypeError):
-            InvariantReport("m", 1, None, True)
+    def test_milnor_k_matches_its_closed_form(self):
+        mu, m = milnor_k(F_RUN, 0), F_RUN.multiplicity()
+        assert milnor_k(F_RUN, 2) == milnor_k_closed(mu, m, 2) == 12
 
 
 class TestRefusals:

@@ -521,6 +521,49 @@ def run_monomial_split_suite(seed=117, target=200):
     return cases, failures
 
 
+def run_tail_suite(seed=118, target=200):
+    """colen(m^k J + (f)) past the first step of ord(f), read off the tail
+    that step certifies (stdbasis._check_step), against two references:
+
+    * the sweep of basis requests _standard_basis_cached(J, k, (f)), which
+      computes every order and never reads a tail, for every k <= 30;
+    * the expanded ideal J * m^k + (f), with the cache cleared, at two k
+      <= 8, and tests/oracle.py there when the colength is at most 20.
+
+    J has 1-4 random generators.  colength is asked for k = 0..30 in a
+    shuffled order, with the cache cleared first, so that cold orders below
+    and above the certified one start their sweep from whatever entries
+    the earlier requests left.  A case is one k with a finite colength;
+    at least half the draws must certify a tail.
+    """
+    rng = random.Random(seed)
+    cached = stdbasis._standard_basis_cached
+    cases = failures = draws = tails = 0
+    ks = range(31)
+    while cases < target:
+        J = Ideal(tuple(rand_poly(rng) for _ in range(rng.randint(1, 4))))
+        P = Ideal.of(rand_poly(rng))
+        Jp, Pp = stdbasis._pack(J), stdbasis._pack(P)
+        cached.cache_clear()
+        answers = {k: colength(J, k, P) for k in rng.sample(ks, len(ks))}
+        draws += 1
+        tails += (Jp, None, Pp) in cached._entries
+        cached.cache_clear()
+        for k in ks:
+            cases += is_finite(answers[k])
+            failures += answers[k] != stdbasis._dim(cached(Jp, k, Pp))
+        for k in rng.sample(range(9), 2):
+            cached.cache_clear()
+            gens = list((J * maximal_ideal_power(k) + P).generators)
+            expanded = colength(Ideal(tuple(gens)))
+            failures += expanded != answers[k]
+            if is_finite(expanded) and expanded <= 20:
+                failures += oracle_colength(gens, nmax=expanded + 2) != expanded
+    cached.cache_clear()
+    failures += 2 * tails < draws
+    return cases, failures
+
+
 SUITES = {
     "lemma-3-1": run_lemma_31_suite,
     "lemma-3-2": run_lemma_32_suite,
@@ -539,6 +582,7 @@ SUITES = {
     "gsv-branch-consistency": run_gsv_branch_consistency_suite,
     "koszul-identity": run_koszul_identity_suite,
     "monomial-split": run_monomial_split_suite,
+    "tail": run_tail_suite,
 }
 
 
@@ -624,6 +668,11 @@ def test_koszul_identity():
 
 def test_monomial_split():
     cases, failures = run_monomial_split_suite()
+    assert cases >= 200 and failures == 0
+
+
+def test_tail():
+    cases, failures = run_tail_suite()
     assert cases >= 200 and failures == 0
 
 

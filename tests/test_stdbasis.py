@@ -377,10 +377,37 @@ class TestCaches:
         finally:
             cached.cache_clear()
 
+    def test_tails_share_the_bound_and_the_clear(self, monkeypatch):
+        # J = (x), P = (y): colength k + 1, whose step at k = 1 is ord(y) = 1.
+        # The tail is one entry of the cache: an answer from it is a hit that
+        # refreshes it, it is evicted as the least recently used entry, and
+        # cache_clear drops it
+        cached = stdbasis._BasisCache(maxsize=4)
+        monkeypatch.setattr(stdbasis, "_standard_basis_cached", cached)
+        J, P = Ideal.of(X), Ideal.of(Y)
+        tail = (stdbasis._pack(J), None, stdbasis._pack(P))
+        assert colength(J, 5, P) == 6
+        assert cached._entries[tail] == (1, 2)
+        assert cached.cache_info()[:2] == (1, 2) and cached.cache_info().currsize == 3
+        assert colength(J, 9, P) == 10
+        assert cached.cache_info()[:2] == (2, 2)  # read off the tail
+        for i in range(3):  # evicts the bases for k = 0 and 1
+            standard_basis(Ideal.of(X, Y ** (i + 2)))
+        assert colength(J, 9, P) == 10 and cached.cache_info().misses == 5
+        for i in range(3, 7):
+            standard_basis(Ideal.of(X, Y ** (i + 2)))
+        assert tail not in cached._entries
+        assert colength(J, 9, P) == 10 and cached.cache_info().misses == 11
+        assert tail in cached._entries
+        cached.cache_clear()
+        assert cached.cache_info() == (0, 0, 4, 0)
+        assert colength(J, 9, P) == 10 and cached.cache_info()[:2] == (1, 2)
+
     def test_sweep_seeds_from_the_previous_k(self, monkeypatch):
-        # a cold k fills the entries for 0..k - 1 first: the entry for 0 is
-        # the basis of J + (f), and each k > 0 starts from x*G, y*G and (f),
-        # G the basis for k - 1.  m^k * J is never expanded
+        # a basis request for a cold k fills the entries for 0..k - 1 first:
+        # the entry for 0 is the basis of J + (f), and each k > 0 starts from
+        # x*G, y*G and (f), G the basis for k - 1.  m^k * J is never expanded.
+        # (colength stops the fill at the first certified step instead.)
         calls = []
         from_gens = stdbasis._standard_basis_from_gens
 
@@ -396,9 +423,10 @@ class TestCaches:
             f, mu, m = next(_family())
             jac, plus = Ideal.of(f.partial_x(), f.partial_y()), Ideal.of(f)
             J, P = stdbasis._pack(jac), stdbasis._pack(plus)
-            tau = colength(jac, 5, plus)
+            tau = stdbasis._dim(cached(J, 5, P))
             assert cached.cache_info()[:2] == (4, 6)  # k - 1 hits, k + 1 misses
             assert len(calls) == 6 and calls[0][0] == J + P
+            assert colength(jac, 5, plus) == tau
             for (_, prev), (gens, _) in zip(calls, calls[1:]):
                 shifted = tuple(stdbasis._shift(t, s) for s in (stdbasis._X, stdbasis._Y)
                                 for t in prev.packed)
@@ -410,18 +438,22 @@ class TestCaches:
 
     def test_deep_cold_order_does_not_recurse(self):
         # the entries below a cold k are filled in a loop: a call for k - 1
-        # inside the call for k would nest 1500 deep, past the recursion limit
+        # inside the call for k would nest 1500 deep, past the recursion limit.
+        # colength reads k = 1500 off the tail certified at k = 1, so the
+        # basis request is the one that fills every order
         cached = stdbasis._standard_basis_cached
         cached.cache_clear()
         try:
             assert colength(Ideal.of(X), 1500, Ideal.of(Y)) == 1501  # (x^1501, y)
+            J, P = stdbasis._pack(Ideal.of(X)), stdbasis._pack(Ideal.of(Y))
+            assert stdbasis._dim(cached(J, 1500, P)) == 1501
         finally:
             cached.cache_clear()
 
     def test_cold_orders_match_the_sweep(self, monkeypatch):
-        # a cold k fills the orders from 0, so no basis is computed from more
-        # than 2|G| + |P| generators: a Mora run on the 82 generators of
-        # m^40 * j(f) and (f) takes seconds on these germs
+        # a basis request for a cold k fills the orders from 0, so no basis
+        # is computed from more than 2|G| + |P| generators: a Mora run on the
+        # 82 generators of m^40 * j(f) and (f) takes seconds on these germs
         sizes = []
         from_gens = stdbasis._standard_basis_from_gens
 
@@ -435,14 +467,15 @@ class TestCaches:
             for f in ((X**2 + Y**3) * (X**3 + Y**2), (X + Y**2 + 3 * X * Y) ** 3 + 7 * X**7):
                 cached.cache_clear()
                 sizes.clear()
-                cold = tjurina_k(f, 40)
                 jac, plus = Ideal.of(f.partial_x(), f.partial_y()), Ideal.of(f)
                 J, P = stdbasis._pack(jac), stdbasis._pack(plus)
+                cold = stdbasis._dim(cached(J, 40, P))
                 assert len(sizes) == 41 and sizes[0] == len(J) + len(P)
                 for k in range(1, 41):
                     assert sizes[k] <= 2 * len(cached(J, k - 1, P).packed) + len(P)
+                assert tjurina_k(f, 40) == cold
                 cached.cache_clear()
-                assert cold == [tjurina_k(f, k) for k in range(41)][-1]
+                assert cold == [stdbasis._dim(cached(J, k, P)) for k in range(41)][-1]
         finally:
             cached.cache_clear()
 
@@ -962,25 +995,28 @@ class TestForcedRoutes:
                 assert routes["capped"] > before
 
     def test_zero_budget_sweep(self, routes, monkeypatch):
-        # a sweep over k seeds each basis from the one for k - 1, and the
-        # zero budget sends every seeded set that needs a reduction to
-        # capped elimination; the seeded steps of mu^k and tau^k are counted
-        # apart
+        # a sweep of basis requests over k seeds each basis from the one for
+        # k - 1, and the zero budget sends every seeded set that needs a
+        # reduction to capped elimination; the seeded steps of mu^k and tau^k
+        # are counted apart
         seeded = {"mu": 0, "tau": 0}
         check = stdbasis._check_step
 
         def counted(prev, sb, gens, k, plus):
             seeded[invariant] += 1
-            check(prev, sb, gens, k, plus)
+            return check(prev, sb, gens, k, plus)
 
         monkeypatch.setattr(stdbasis, "_check_step", counted)
+        cached = stdbasis._standard_basis_cached
         for f, mu, m in _family():
             jac = Ideal.of(f.partial_x(), f.partial_y())
+            J, P = stdbasis._pack(jac), stdbasis._pack(Ideal.of(f))
             for k in range(7):
                 invariant = "mu"
                 assert milnor_k(f, k) == milnor_k_closed(mu, m, k), (f, k)
                 invariant = "tau"
-                tau = tjurina_k(f, k)
+                tau = stdbasis._dim(cached(J, k, P))
+                assert tjurina_k(f, k) == tau, (f, k)
                 if k <= 3:
                     gens = list((jac * maximal_ideal_power(k) + Ideal.of(f)).generators)
                     assert tau == oracle_colength(gens, nmax=20), (f, k)
