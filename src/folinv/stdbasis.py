@@ -23,7 +23,7 @@ term lists as well, so the engine has no second polynomial format.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict, deque, namedtuple
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
@@ -458,16 +458,23 @@ def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     return i * j
 
 
+def _order(k) -> int:
+    """k, when it is an order of the engine: an int >= 0 that is no bool."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"the power of the maximal ideal must be an int >= 0, not {k!r}")
+    return k
+
+
 @lru_cache(maxsize=64, typed=True)
 def maximal_ideal_power(k: int) -> Ideal:
     """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1).
 
     Memoized: callers that expand m^k * J ask for the same few powers over and
     over; :func:`colength` takes k instead and expands nothing.  The cache is
-    typed, so a float k equal to a cached int still reaches the check below.
+    typed, so a float or bool k equal to a cached int still reaches
+    :func:`_order`.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"the power of the maximal ideal must be an int >= 0, not {k!r}")
+    k = _order(k)
     return Ideal(tuple(Poly.term((k - i, i)) for i in range(k + 1)))
 
 
@@ -504,17 +511,13 @@ class StandardBasis(_Value):
     def _factor(self) -> "tuple[list, StandardBasis] | None":
         """None for a finite staircase, else (g, basis of J) with I = g*J.
 
-        The split route of :func:`_standard_basis_from_gens` presets it with
-        the split it made, composed with the split of the cofactor basis
-        after a monomial split.  Any other basis with an infinite staircase
-        comes from a Mora run none of whose walks had a truncation degree,
-        since the staircase bound only falls; so every element is a polynomial
-        combination of the run's inputs and divisible by their gcd g_0.  The
-        elements generate I, so each input is a combination of them in the
-        local ring, and the gcd of the elements that
-        :func:`_split_common_factor` finds is g_0 times a unit of the local
-        ring.  That is all :func:`contains` needs: I = g*J for the g and the
-        cofactor ideal J of this split.  The empty basis, that of the zero
+        Made on first use, for every basis alike.  The elements of a standard
+        basis of I generate I in the local ring, so their primitive gcd g,
+        which :func:`_split_common_factor` finds, gives I = g*J with J
+        generated by the cofactors.  They share no factor, so J is
+        zero-dimensional; and g vanishes at the origin, since elements that
+        share no curve through it would generate a zero-dimensional I.  That
+        is all :func:`contains` needs.  The empty basis, that of the zero
         ideal, has no split: :func:`contains` walks f against no reducers.
         """
         if self._staircase[0] is not None or not self.packed:
@@ -860,12 +863,8 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
 
     * a shared factor: a standard basis of g*J is g times one of J, since
       leading monomials multiply, so the cofactors J of the split go back to
-      the cache.  The split kept for membership (see
-      :attr:`StandardBasis._factor`) must leave a zero-dimensional J.  A gcd
-      split does.  A monomial split g = m may not, as J can share a further
-      factor h; the split kept is then (m*h, J'), the split of the basis of
-      J.  In a `fallback` pass of perfbench at seed 1, pass 0, all 26 shared
-      factors are monomials, and none leaves a further split;
+      the cache.  Membership splits the basis's own elements on first use
+      (see :attr:`StandardBasis._factor`);
     * swell: the ideal is zero-dimensional, so capped elimination accepts
       every cap above its colength c, and m^c lies in it.  Doubling from a
       small cap reaches one in O(log c) attempts, and elimination cost grows
@@ -894,13 +893,7 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
             cap = min(2 * cap, bound + 1)
     elif internal is None:
         g, cofactors = reason
-        inner = _standard_basis_cached(cofactors)
-        sb = StandardBasis(tuple(_product(g, t) for t in inner.packed))
-        if inner._factor is not None:  # a monomial g leaves a further split
-            h, inner = inner._factor
-            g = _product(g, h)
-        sb.__dict__["_factor"] = g, inner  # preset with the split just made
-        return sb
+        internal = [_product(g, t) for t in _standard_basis_cached(cofactors).packed]
     return StandardBasis(tuple(map(tuple, internal)))
 
 
@@ -936,12 +929,10 @@ class _BasisCache:
 
     A miss with k > 0 is computed from the entry for k - 1, with basis G:
     x*G, y*G and P generate m(m^(k-1) J + P) + P = m^k J + P, so m^k J is
-    never expanded.  When that entry is absent, the miss first fills the
-    orders from the highest one present below k, or from k = 0, up to k - 1,
-    in increasing order through the cache itself; each of those calls finds
-    the entry below it, so the calls nest at most two deep.
+    never expanded.  That entry comes from :meth:`_sweep` to k - 1, which
+    fills any absent order below k first, in increasing order.
     Hits and misses are counted as by :func:`functools.lru_cache`, and the
-    fill counts as calls: a cold order k makes k + 1 misses and k - 1 hits.
+    sweep counts as calls: a cold order k makes k + 1 misses and k - 1 hits.
 
     Beside the bases, the cache keeps a tail for (J, P) when P = (f): the
     first order k0 at which :func:`_check_step` certified the step, and the
@@ -965,12 +956,14 @@ class _BasisCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def _below(self, gens: tuple, k: int, plus: tuple) -> int:
-        """The highest order below k whose entry is present, or 0."""
-        j = k - 1
+    def _sweep(self, gens: tuple, k: int, plus: tuple):
+        """Yield the bases, each through the cache, for the orders from the
+        highest one present at or below k, or from 0, up to k."""
+        j = k
         while j and self._key(gens, j, plus) not in self._entries:
             j -= 1
-        return j
+        for i in range(j, k + 1):
+            yield self(gens, i, plus)  # each miss finds the entry for i - 1
 
     def __call__(self, gens: tuple, k: int = 0, plus: tuple = ()) -> StandardBasis:
         key = self._key(gens, k, plus)
@@ -982,8 +975,7 @@ class _BasisCache:
         self._misses += 1
         gens, k, plus = key
         if k:
-            for i in range(self._below(gens, k, plus), k):
-                prev = self(gens, i, plus)  # each call finds the entry for i - 1
+            prev = deque(self._sweep(gens, k - 1, plus), maxlen=1).pop()  # the basis for k - 1
             sb = _standard_basis_from_gens(
                 tuple(_shift(t, s) for s in (_X, _Y) for t in prev.packed) + plus
             )
@@ -1000,28 +992,25 @@ class _BasisCache:
         """dim O/(m^k J + P), read off a tail when one covers k.
 
         Only a P with one generator f has a tail.  For it, a k with no tail
-        and no entry sweeps upward from the highest order present below k,
-        or from k = 0, as the fill of a miss does, and stops at the first
-        certified step; an order past it is never computed.  Any other
+        walks :meth:`_sweep` to k, as a miss does to k - 1, and stops at the
+        first certified step; an order past it is never computed.  Any other
         request is the colength of the basis for k.
         """
-        key = self._key(gens, k, plus)
-        if len(plus) != 1 or not key[1]:
+        if len(plus) != 1 or not self._key(gens, k, plus)[1]:
             return _dim(self(gens, k, plus))
         tkey = (gens, None, plus)
         tail = self._entries.get(tkey)
-        if tail is not None and k >= tail[0]:
-            self._hits += 1
-        elif tail is not None or key in self._entries:
-            return _dim(self(gens, k, plus))
-        else:
-            for i in range(self._below(gens, k, plus), k + 1):
-                sb = self(gens, i, plus)
+        if tail is None:
+            for sb in self._sweep(gens, k, plus):
                 if tkey in self._entries:
                     break
             else:
                 return _dim(sb)
             tail = self._entries[tkey]
+        elif k < tail[0]:
+            return _dim(self(gens, k, plus))
+        else:
+            self._hits += 1
         self._entries.move_to_end(tkey)
         k0, c0 = tail
         return c0 + (k - k0) * (plus[0][0][0] >> _SHIFT)
@@ -1100,9 +1089,7 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
     first step of ord(f) is answered with no basis, from the tail that step
     certifies (see :func:`_check_step`).
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"the power of the maximal ideal must be an int >= 0, not {k!r}")
-    return _standard_basis_cached.colength(_pack(ideal), k, _pack(plus))
+    return _standard_basis_cached.colength(_pack(ideal), _order(k), _pack(plus))
 
 
 def contains(ideal: Ideal, f: Poly) -> bool:
@@ -1111,8 +1098,8 @@ def contains(ideal: Ideal, f: Poly) -> bool:
     The normal form of f against the standard basis decides, truncated at
     the staircase bound.  When the staircase is infinite, the generators
     share a factor g through the origin, and I = g*J with J zero-dimensional;
-    the basis keeps that split (see :attr:`StandardBasis._factor`).  Let d be
-    a gcd of g and f:
+    the basis splits its own elements so on first use and keeps the split
+    (see :attr:`StandardBasis._factor`).  Let d be a gcd of g and f:
 
     * g/d and f/d are coprime polynomials, and coprime plane polynomials
       share no curve germ;

@@ -896,3 +896,30 @@ def test_closed_stdout_pipe_exits_0_quietly():
     finally:
         os.close(write_end)
     assert (out.returncode, out.stderr) == (0, b"")
+
+
+def test_pipe_closed_mid_listing_exits_0_quietly(tmp_path):
+    # the listing of 3 000 rows, about 240 KB, is far past a pipe buffer:
+    # the child blocks in its write, and the reader takes one line and
+    # closes the pipe, so the write raises BrokenPipeError part way through
+    reg = tmp_path / "reg.txt"
+    reg.write_text(
+        "".join(
+            f"row-{i} | listing row {i} of a registry longer than a pipe buffer"
+            f" | section-0 | milnor x^2+y^3 | 2\n"
+            for i in range(3000)
+        ),
+        encoding="utf-8",
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "folinv", "scenarios", "list", "--registry", str(reg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        code = child.wait(timeout=60)
+        err = child.stderr.read()
+    assert first.startswith(b"row-0  [section-0]")
+    assert (code, err) == (0, b"")

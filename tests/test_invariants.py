@@ -220,6 +220,18 @@ class TestFoliationInvariants:
             assert gsv_index(fol, c) == m + n - m * n
             assert gsv_theorem_check(fol, c, 5)
 
+    def test_gsv_theorem_check_reports_a_mismatch(self, monkeypatch, capsys):
+        # an index one off at every k makes the check false, and the check
+        # verb prints false with exit code 1
+        from folinv.cli import main
+
+        index = invariants.gsv_index
+        monkeypatch.setattr(invariants, "gsv_index", lambda F, C: index(F, C) + 1)
+        assert gsv_theorem_check(Foliation(4 * X * Y, Y - 2 * X**2), curve(Y), 2) is False
+        argv = "check gsv-theorem --P 4*x*y --Q y-2*x^2 --f y --k-max 2".split()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("false\n", "")
+
     def test_gsv_with_coordinate_axis_branches(self):
         # f_x = y and f_y = x are both branches of xy, so the first two
         # decompositions (f_y, Q) and (f_x, P) fail; (x + y, P + Q) does not

@@ -491,12 +491,15 @@ class TestCaches:
             with pytest.raises(ValueError):
                 colength(J, -1, P)
             # a non-int order is refused before the cache, cold or warm: a
-            # walk down from 1.5 steps past 0, and 2.0 keys the entry of 2
+            # walk down from 1.5 steps past 0, 2.0 keys the entry of 2, and
+            # True and False would key those of 1 and 0
             square = Ideal.of(X**2, Y**3)
             for _cache in ("cold", "warm"):
-                for k in (1.5, 2.0):
-                    with pytest.raises(ValueError):
+                for k in (1.5, 2.0, True, False):
+                    with pytest.raises(ValueError, match="must be an int >= 0"):
                         colength(square, k)
+                    with pytest.raises(ValueError, match="must be an int >= 0"):
+                        maximal_ideal_power(k)
                 assert colength(square, 2) == 12
         finally:
             cached.cache_clear()
@@ -1297,16 +1300,19 @@ class TestRouteChoice:
 
     def test_membership_reads_the_split_kept_on_the_basis(self, monkeypatch):
         # Mora gives up on h*(a, b) and the split route builds its basis;
-        # that basis keeps (h, basis of (a, b)), so membership in it never
-        # splits the generators again
+        # the first membership question splits that basis's elements into
+        # (h, basis of (a, b)), and the basis keeps the split, so the other
+        # ten questions never split again
         stdbasis._standard_basis_cached.cache_clear()
         try:
-            assert vars(standard_basis(NON_MEMBER_IDEAL)).get("_factor") is not None
+            assert "_factor" not in vars(standard_basis(NON_MEMBER_IDEAL))
+            split, splits = stdbasis._split_common_factor, []
 
-            def refuse(gens):
-                raise AssertionError("split")
+            def counted(gens):
+                splits.append(gens)
+                return split(gens)
 
-            monkeypatch.setattr(stdbasis, "_split_common_factor", refuse)
+            monkeypatch.setattr(stdbasis, "_split_common_factor", counted)
             h, a, b = H_APART, A_APART, B_APART
             cofactors = [
                 (Poly.one(), Poly.zero()),
@@ -1319,6 +1325,7 @@ class TestRouteChoice:
             outside = [X**4 * Y**6, h, h * X, h * X**2, h * h, Y**2, h * (a + X * b) + X**9]
             for f in outside:
                 assert contains(NON_MEMBER_IDEAL, f) is False, f
+            assert len(splits) == 1
         finally:
             stdbasis._standard_basis_cached.cache_clear()
 
@@ -1459,14 +1466,15 @@ class TestStandardBasisType:
 
     def test_split_route_presets_the_factor(self, monkeypatch):
         # with no Mora budget, a shared factor g sends the run to the split
-        # route, which keeps (g, basis of the cofactor ideal) on the basis
+        # route, which keeps no split on the basis: its first use splits the
+        # basis's own elements into (g, basis of the cofactor ideal)
         monkeypatch.setattr(stdbasis, "_NF_STEP_BUDGET", 0)
         stdbasis._standard_basis_cached.cache_clear()
         try:
             g = X + Y + X * Y
             ideal = Ideal.of(g * (X**2 - Y**3), g * (X * Y + Y**4), g * X**3)
             sb = standard_basis(ideal)
-            assert "_factor" in vars(sb)
+            assert "_factor" not in vars(sb)
             h, inner = sb._factor
             assert stdbasis._to_poly(h) == g
             assert stdbasis._dim(inner) == 5
