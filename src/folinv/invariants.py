@@ -40,9 +40,11 @@ class PreconditionError(ValueError):
     """A documented hypothesis of an operation fails for the given input."""
 
 
-def _natural(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise PreconditionError(f"{name} must be a nonnegative integer")
+def _natural(value, name: str, least: int = 0) -> int:
+    """value, when it is an int of at least ``least`` and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        rule = "a nonnegative integer" if least == 0 else f"an integer >= {least}"
+        raise PreconditionError(f"{name} must be {rule}")
     return value
 
 
@@ -115,10 +117,8 @@ class ReducedSingularityKind(_Value):
     _fields = __slots__ = ("saddle_node_index",)
 
     def __init__(self, saddle_node_index: "int | None" = None):
-        if saddle_node_index is not None and (
-            not isinstance(saddle_node_index, int) or saddle_node_index < 1
-        ):
-            raise PreconditionError("a saddle-node index must be an integer >= 1")
+        if saddle_node_index is not None:
+            _natural(saddle_node_index, "a saddle-node index", 1)
         object.__setattr__(self, "saddle_node_index", saddle_node_index)
 
     @classmethod
@@ -227,7 +227,7 @@ def gsv_index(F: Foliation, C: CurveGerm) -> int:
     )
 
 
-# The directions polar_intersection_k walks: (a:b) with a, b in [-20, 20], not
+# The directions _generic_polar walks: (a:b) with a, b in [-20, 20], not
 # both zero, divided by their gcd and with the first nonzero entry positive,
 # lowest height max(|a|, |b|) first.
 _BOX = [
@@ -249,14 +249,15 @@ def _polars(F: Foliation):
             yield p
 
 
-def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
-    """i^k of the polar curve of F against C: dim O/((aP+bQ, f) * m^k) at generic (a:b).
+@lru_cache(maxsize=1024)
+def _generic_polar(F: Foliation, C: CurveGerm) -> Ideal:
+    """(p, f) for a polar p = aP + bQ of F at a generic direction (a:b).
 
     Walks the directions of the box [-20, 20]^2 from position 0, lowest
     height first, and keeps the first nu(f) + 1 with nu(a*P + b*Q) = nu(F);
     at most one direction fails that, the one where the degree-nu parts of
-    P and Q cancel.  Then it returns i^k of a kept polar p with the least
-    i^0 = i(p, f).  That is the generic value:
+    P and Q cancel.  Then it returns (p, f) for a kept polar p with the
+    least i^0 = i(p, f).  That is the generic polar:
 
     * along each branch of f, the order of (aP + bQ) restricted to the branch
       exceeds its generic value for at most one (a:b), and f has at most
@@ -265,8 +266,11 @@ def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
     * (p, f) is a complete intersection, so i^k is fixed by i^0 and
       min(nu(p), nu(f)), and grows with i^0 (the Koszul identity; Eisenbud
       1995, ch. 17); every kept p has nu(p) = nu(F).
+
+    The choice does not depend on k, so it is memoized like
+    :func:`is_invariant`: a sweep over k makes it once per (F, C).  A
+    refusal is not memoized and raises on every call.
     """
-    _natural(k, "k")
     _require_invariant(F, C)
     needed = C.f.multiplicity() + 1
     polars = list(islice(_polars(F), needed))
@@ -275,9 +279,20 @@ def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
             f"{needed} directions are needed, but only {len(polars)} of the"
             f" {_DIRECTIONS} keep nu(aP + bQ) = nu(F)"
         )
-    i0 = [colength(Ideal.of(p, C.f)) for p in polars]
+    ideals = [Ideal.of(p, C.f) for p in polars]
+    i0 = [colength(J) for J in ideals]
     least = min(v for v in i0 if is_finite(v))
-    return colength(Ideal.of(polars[i0.index(least)], C.f), k)
+    return ideals[i0.index(least)]
+
+
+def polar_intersection_k(F: Foliation, C: CurveGerm, k: int):
+    """i^k of the polar curve of F against C: dim O/((aP+bQ, f) * m^k) at generic (a:b).
+
+    The generic polar is chosen once per (F, C), by its least i^0 (see
+    :func:`_generic_polar`), and i^k is the colength of its ideal at k.
+    """
+    _natural(k, "k")
+    return colength(_generic_polar(F, C), k)
 
 
 # -- closed forms -------------------------------------------------------------
@@ -290,8 +305,7 @@ def milnor_k_closed(mu: int, m: int, k: int) -> int:
     """
     _natural(mu, "mu")
     _natural(k, "k")
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionError("the multiplicity m must be an integer >= 1")
+    _natural(m, "the multiplicity m", 1)
     value = mu + k * (k + 1)
     if k >= m:
         value -= (k - m + 2) * (k - m + 1) // 2
@@ -301,8 +315,7 @@ def milnor_k_closed(mu: int, m: int, k: int) -> int:
 def dim_mk_plus_f_closed(m: int, k: int) -> int:
     """dim O/((f) + m^k) for any f with nu(f) = m: k(k+1)/2, corrected once k >= m."""
     _natural(k, "k")
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionError("the multiplicity m must be an integer >= 1")
+    _natural(m, "the multiplicity m", 1)
     value = k * (k + 1) // 2
     if k >= m:
         value -= (k + 1 - m) * (k - m) // 2
@@ -441,8 +454,7 @@ def quasihomogeneous_identity_check(F: Foliation, C: CurveGerm, k: int):
     Requires the quasi-homogeneity membership f in (P, Q); the
     generalized-curve hypothesis is the caller's assertion.
     """
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError("k must be an integer >= 1")
+    _natural(k, "k", 1)
     if not is_quasihomogeneous_foliation(F, C):
         raise PreconditionError("f does not lie in (P, Q)")
     mu = foliation_milnor_k(F, k)

@@ -123,10 +123,12 @@ class Poly:
     """Immutable sparse polynomial in x, y with rational coefficients.
 
     ``content * prim``: see the module docstring.  ``terms`` gives the same
-    value as (monomial, Fraction) pairs, leading term first.
+    value as (monomial, Fraction) pairs, leading term first.  The hash and
+    the pair of partials are computed on first use and kept; equality,
+    hashing, pickle and copy read the value alone.
     """
 
-    __slots__ = ("content", "prim", "_hash")
+    __slots__ = ("content", "prim", "_hash", "_partials")
 
     def __new__(cls, terms: Iterable[tuple[Monomial, Coefficient]] = ()):
         """Build from (monomial, coefficient) pairs; zeros dropped, like terms merged."""
@@ -150,7 +152,8 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild the value through __new__, not __setattr__
+        # pickle and copy rebuild the value through __new__, not __setattr__;
+        # the copy computes its own hash and partials
         return Poly, (self.terms,)
 
     # -- constructors ------------------------------------------------------
@@ -166,6 +169,7 @@ class Poly:
         object.__setattr__(p, "content", content)
         object.__setattr__(p, "prim", prim)
         object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_partials", None)
         return p
 
     @classmethod
@@ -301,22 +305,35 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def partial_x(self) -> "Poly":
-        # d/dx lowers the degree and keeps b: every code drops by one degree
-        out = []
-        for code, c in self.prim:
-            a = (code >> _SHIFT) - (code & _MASK)
-            if a:
-                out.append((code - _ONE_DEGREE, a * c))
-        return Poly._of_terms(out, self.content.numerator, self.content.denominator)
+        d = self._partials
+        if d is None:
+            d = self._differentiate()
+        return d[0]
 
     def partial_y(self) -> "Poly":
+        d = self._partials
+        if d is None:
+            d = self._differentiate()
+        return d[1]
+
+    def _differentiate(self) -> tuple:
+        """(d/dx, d/dy), computed once and kept, like the hash: a sweep over k
+        asks for the partials of one germ at every k, and the same Poly
+        objects keep their own hashes for the basis cache's keys."""
+        # d/dx lowers the degree and keeps b: every code drops by one degree;
         # d/dy lowers the degree and b: every code drops by one degree and 1
-        out = []
+        dx, dy = [], []
         for code, c in self.prim:
             b = code & _MASK
+            a = (code >> _SHIFT) - b
+            if a:
+                dx.append((code - _ONE_DEGREE, a * c))
             if b:
-                out.append((code - _ONE_DEGREE - 1, b * c))
-        return Poly._of_terms(out, self.content.numerator, self.content.denominator)
+                dy.append((code - _ONE_DEGREE - 1, b * c))
+        num, den = self.content.numerator, self.content.denominator
+        d = (Poly._of_terms(dx, num, den), Poly._of_terms(dy, num, den))
+        object.__setattr__(self, "_partials", d)
+        return d
 
     # -- comparisons, hashing, display --------------------------------------
 

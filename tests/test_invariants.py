@@ -271,6 +271,47 @@ class TestPolar:
             for k in range(7):
                 assert teissier_k_check(f, k), (f, k)
 
+    def test_generic_polar_is_chosen_once_per_pair(self, monkeypatch):
+        # a sweep over k walks the directions once per distinct (F, C); the
+        # values equal those of a cache cleared before every call
+        walks = []
+        polars = invariants._polars
+
+        def counted(F):
+            walks.append(F)
+            return polars(F)
+
+        fol, c = Foliation(-2 * Y, 3 * X), curve(Y**3 - X**2)
+        pairs = [(hamiltonian(F_RUN), curve(F_RUN)), (fol, c), (hamiltonian(c.f), c)]
+
+        def cold(call, *args):
+            invariants._generic_polar.cache_clear()
+            return call(*args)
+
+        want_teissier = [cold(teissier_k_check, F_RUN, k) for k in range(7)]
+        want_gsv = cold(polar_gsv_check, fol, c, 3)
+        want_values = [cold(polar_intersection_k, F, C, k) for F, C in pairs for k in range(7)]
+        monkeypatch.setattr(invariants, "_polars", counted)
+        invariants._generic_polar.cache_clear()
+        try:
+            assert [teissier_k_check(F_RUN, k) for k in range(7)] == want_teissier
+            assert len(walks) == 1
+            assert polar_gsv_check(fol, c, 3) == want_gsv
+            assert len(walks) == 3
+            values = [polar_intersection_k(F, C, k) for F, C in pairs for k in range(7)]
+            assert values == want_values
+            assert len(walks) == 3
+        finally:
+            invariants._generic_polar.cache_clear()
+        assert all(want_teissier) and want_gsv
+
+    def test_refusal_is_not_kept(self):
+        # lru_cache keeps no exception: the refusal raises on every call
+        fol, c = Foliation(2 * X, 2 * Y), curve(X**2 + Y**3)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="^the curve is not invariant"):
+                polar_intersection_k(fol, c, 1)
+
     def test_more_samples_than_directions_refused_at_once(self):
         # nu(f) = 511 needs 512 directions, but (0:1) gives the polar 512y^511
         # of multiplicity 511 > nu(F) = 510, so only 511 directions qualify
@@ -534,6 +575,16 @@ class TestRefusals:
             ),
             (lambda: milnor_k_closed(4, 0, 1), "the multiplicity m must be an integer >= 1"),
             (lambda: dim_mk_plus_f_closed(0, 1), "the multiplicity m must be an integer >= 1"),
+            # True is an int, but no integer >= 1 is a bool
+            (lambda: milnor_k_closed(4, True, 1), "the multiplicity m must be an integer >= 1"),
+            (lambda: dim_mk_plus_f_closed(True, 1), "the multiplicity m must be an integer >= 1"),
+            (
+                lambda: quasihomogeneous_identity_check(
+                    hamiltonian(F_RUN), curve(F_RUN), True
+                ),
+                "k must be an integer >= 1",
+            ),
+            (lambda: ReducedSingularityKind(True), "a saddle-node index must be an integer >= 1"),
             (lambda: weighted_homogeneous_weights(Poly.zero()), "the zero germ has no weight type"),
             (lambda: check_conjecture1(X**2 * Y**3, 1), "the singularity is not isolated"),
             (lambda: ratio_check(X**2 * Y, 1), "the singularity is not isolated"),
@@ -551,6 +602,10 @@ class TestRefusals:
             "qh-not-invariant",
             "milnor-closed-m-0",
             "dim-closed-m-0",
+            "milnor-closed-bool-m",
+            "dim-closed-bool-m",
+            "qh-identity-bool-k",
+            "saddle-node-bool-index",
             "weights-zero",
             "conjecture1-not-isolated",
             "ratio-not-isolated",

@@ -710,11 +710,13 @@ def test_suites_without_mora(monkeypatch, name):
     monkeypatch.setattr(stdbasis, "_split_common_factor", split)
     stdbasis._standard_basis_cached.cache_clear()
     invariants.is_invariant.cache_clear()
+    invariants._generic_polar.cache_clear()
     try:
         cases, failures = SUITES[name](target=10)
     finally:
         stdbasis._standard_basis_cached.cache_clear()
         invariants.is_invariant.cache_clear()
+        invariants._generic_polar.cache_clear()
     assert cases >= 10 and failures == 0
     for gens, basis in accepted:
         c = stdbasis._chain([_decode(t[0][0]) for t in basis])[2]
@@ -750,11 +752,13 @@ def test_suites_at_the_swell_mark(monkeypatch, name):
     monkeypatch.setattr(stdbasis, "_capped_std", capped)
     stdbasis._standard_basis_cached.cache_clear()
     invariants.is_invariant.cache_clear()
+    invariants._generic_polar.cache_clear()
     try:
         cases, failures = SUITES[name](target=10)
     finally:
         stdbasis._standard_basis_cached.cache_clear()
         invariants.is_invariant.cache_clear()
+        invariants._generic_polar.cache_clear()
     assert cases >= 10 and failures == 0
     for gens, basis in accepted:
         c = stdbasis._chain([_decode(t[0][0]) for t in basis])[2]

@@ -1,5 +1,7 @@
 """Ring layer: local order, exact arithmetic, multiplicity, derivatives."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -201,6 +203,28 @@ class TestDerivatives:
         assert f.partial_x() == 5 * X**4 + 3 * X**2 * Y**3
         assert (Y**3 - X**7).partial_y() == 3 * Y**2
         assert Poly.constant(9).partial_x() == Poly.zero()
+
+    def test_partials_are_computed_once_and_kept(self):
+        # Y**3 - X**7: nonzero partials; Y**3: a zero partial in x
+        for f in (Y**3 - X**7 + Poly.constant(2), Y**3, Poly.zero()):
+            assert f.partial_x() is f.partial_x()
+            assert f.partial_y() is f.partial_y()
+        assert (Y**3).partial_x() == Poly.zero()
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_kept_partials_leave_the_value_alone(self, duplicate):
+        f = Fraction(3, 4) * X**5 * Y - X * Y**2
+        fresh = duplicate(f)
+        f.partial_x()
+        assert f._partials is not None
+        for g in (duplicate(f), fresh):
+            assert g == f and hash(g) == hash(f)
+            assert (g.partial_x(), g.partial_y()) == (f.partial_x(), f.partial_y())
+        assert duplicate(f)._partials is None
 
     def test_leibniz_randomized(self):
         rng = random.Random(99)
