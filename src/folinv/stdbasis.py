@@ -23,7 +23,7 @@ term lists as well, so the engine has no second polynomial format.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict, deque, namedtuple
+from collections import OrderedDict, namedtuple
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
@@ -470,9 +470,11 @@ def maximal_ideal_power(k: int) -> Ideal:
     """The ideal m^k: generated by the k+1 monomials of total degree k; m^0 = (1).
 
     Memoized: callers that expand m^k * J ask for the same few powers over and
-    over; :func:`colength` takes k instead and expands nothing.  The cache is
-    typed, so a float or bool k equal to a cached int still reaches
-    :func:`_order`.
+    over; :func:`colength` takes k instead and expands nothing.  An expanded
+    ``J * maximal_ideal_power(k) + plus`` runs Mora on all the products,
+    which can take minutes where ``colength(J, k, plus)`` takes
+    milliseconds.  The cache is typed, so a float or bool k equal to a
+    cached int still reaches :func:`_order`.
     """
     k = _order(k)
     return Ideal(tuple(Poly.term((k - i, i)) for i in range(k + 1)))
@@ -929,8 +931,14 @@ class _BasisCache:
 
     A miss with k > 0 is computed from the entry for k - 1, with basis G:
     x*G, y*G and P generate m(m^(k-1) J + P) + P = m^k J + P, so m^k J is
-    never expanded.  That entry comes from :meth:`_sweep` to k - 1, which
-    fills any absent order below k first, in increasing order.
+    never expanded.  The Mora run is seeded with the distinct elements of
+    x*G and y*G, in the chain order of G, then P: x*g_i = y*g_(i+1) for
+    some neighbours g_i, g_(i+1) of the chain, and a repeated generator only
+    adds s-polynomials that reduce to zero.  The entry for k - 1 comes from
+    :meth:`_sweep` to k - 1, which fills any absent order below k first, in
+    increasing order.  A colength is the exception: when the basis such a
+    fill starts from is infinite, so is every order, and :meth:`colength`
+    answers INFINITE from it without filling any other.
     Hits and misses are counted as by :func:`functools.lru_cache`, and the
     sweep counts as calls: a cold order k makes k + 1 misses and k - 1 hits.
 
@@ -965,45 +973,74 @@ class _BasisCache:
         for i in range(j, k + 1):
             yield self(gens, i, plus)  # each miss finds the entry for i - 1
 
-    def __call__(self, gens: tuple, k: int = 0, plus: tuple = ()) -> StandardBasis:
-        key = self._key(gens, k, plus)
-        sb = self._entries.get(key)
-        if sb is not None:
+    def _hit(self, key: tuple):
+        """The entry under key, counted as a hit and made the newest; None when absent."""
+        value = self._entries.get(key)
+        if value is not None:
             self._hits += 1
             self._entries.move_to_end(key)
-            return sb
+        return value
+
+    def __call__(self, gens: tuple, k: int = 0, plus: tuple = ()) -> StandardBasis:
+        key = self._key(gens, k, plus)
+        return self._hit(key) or self._miss(key)
+
+    def _miss(self, key: tuple, fill: bool = True) -> StandardBasis:
+        """Compute, store and return the basis under key, which is absent.
+
+        With fill false, when the basis the fill starts from is infinite,
+        that basis is returned and nothing more is computed: then every
+        order of (J, P) is infinite.
+        """
         self._misses += 1
         gens, k, plus = key
-        if k:
-            prev = deque(self._sweep(gens, k - 1, plus), maxlen=1).pop()  # the basis for k - 1
-            sb = _standard_basis_from_gens(
-                tuple(_shift(t, s) for s in (_X, _Y) for t in prev.packed) + plus
-            )
-            certified = _check_step(prev, sb, gens, k, plus)
-            self._store(key, sb)
-            if certified and (gens, None, plus) not in self._entries:
-                self._store((gens, None, plus), (k, _dim(sb)))
-        else:
+        if not k:
             sb = _standard_basis_from_gens(gens + plus)
             self._store(key, sb)
+            return sb
+        for prev in self._sweep(gens, k - 1, plus):
+            if not fill and _dim(prev) is INFINITE:
+                return prev
+        # prev is the basis for k - 1.  Along its chain, x*g_i and y*g_j share
+        # a leading monomial only for j = i + 1, so a shift can repeat only
+        # the one emitted just before it.
+        seed = []
+        for t in prev.packed:
+            yt = _shift(t, _Y)
+            if not seed or yt != seed[-1]:
+                seed.append(yt)
+            seed.append(_shift(t, _X))
+        sb = _standard_basis_from_gens((*seed, *plus))
+        certified = _check_step(prev, sb, gens, k, plus)
+        self._store(key, sb)
+        if certified and (gens, None, plus) not in self._entries:
+            self._store((gens, None, plus), (k, _dim(sb)))
         return sb
 
     def colength(self, gens: tuple, k: int, plus: tuple) -> "int | _Infinite":
         """dim O/(m^k J + P), read off a tail when one covers k.
+
+        m^k (J + P) lies in m^k J + P, which lies in J + P, so every order of
+        (J, P) is finite or none is.  A miss stops as soon as the basis its
+        fill starts from, the highest order present below k or order 0, is
+        infinite, and answers INFINITE; a hit makes no such check.
 
         Only a P with one generator f has a tail.  For it, a k with no tail
         walks :meth:`_sweep` to k, as a miss does to k - 1, and stops at the
         first certified step; an order past it is never computed.  Any other
         request is the colength of the basis for k.
         """
-        if len(plus) != 1 or not self._key(gens, k, plus)[1]:
-            return _dim(self(gens, k, plus))
+        key = self._key(gens, k, plus)
+        if len(plus) != 1 or not key[1]:
+            return _dim(self._hit(key) or self._miss(key, fill=False))
         tkey = (gens, None, plus)
         tail = self._entries.get(tkey)
         if tail is None:
             for sb in self._sweep(gens, k, plus):
                 if tkey in self._entries:
                     break
+                if _dim(sb) is INFINITE:
+                    return INFINITE
             else:
                 return _dim(sb)
             tail = self._entries[tkey]
@@ -1084,10 +1121,14 @@ def colength(ideal: Ideal, k: int = 0, plus: "Ideal | None" = None) -> "int | _I
     Finite exactly when the leading ideal contains a pure power of x and a
     pure power of y; otherwise, as for the zero ideal, returns INFINITE.
     m^k * ideal is never expanded into polynomials: the basis for k comes
-    from the basis for k - 1, and a cold k fills the orders below it first
-    (see :class:`_BasisCache`).  When plus has one generator f, a k past the
-    first step of ord(f) is answered with no basis, from the tail that step
-    certifies (see :func:`_check_step`).
+    from the distinct elements of x*G, y*G and plus, G the basis for k - 1,
+    and a cold k fills the orders below it first (see :class:`_BasisCache`).
+    The colength of ``ideal * maximal_ideal_power(k) + plus`` is the same
+    number, but Mora runs there on the expanded products, which can take
+    minutes where this takes milliseconds.  Every order is infinite when
+    order 0 is, and then the fill stops at order 0.  When plus has one
+    generator f, a k past the first step of ord(f) is answered with no
+    basis, from the tail that step certifies (see :func:`_check_step`).
     """
     return _standard_basis_cached.colength(_pack(ideal), _order(k), _pack(plus))
 

@@ -20,6 +20,7 @@ from folinv.stdbasis import (
     colength,
     ideal_sum,
     is_finite,
+    leading_ideal,
     maximal_ideal_power,
 )
 from folinv.invariants import (
@@ -564,6 +565,67 @@ def run_tail_suite(seed=118, target=200):
     return cases, failures
 
 
+def run_seeded_route_suite(seed=119, target=200):
+    """The basis of each order k of a sweep, whose seed is the distinct
+    shifts of the basis for k - 1 and P, against the expanded ideal
+    J * m^k + P:
+
+    * the same leading ideal, not only the same colength;
+    * the same colength, INFINITE included, as colength(J, k, P) asked for
+      every k <= 8 in a shuffled order from a cleared cache, which answers
+      an infinite order 0 for every k;
+    * tests/oracle.py when the colength is at most 20;
+    * no seed holds a term list twice.
+
+    J has 1-4 random generators and P is empty, (f) or (f, g).  Every fourth
+    draw multiplies J by a random h and leaves P empty, so its orders are
+    all infinite.  A case is one order k <= 8: the expanded side stays
+    small.
+    """
+    rng = random.Random(seed)
+    cached = stdbasis._standard_basis_cached
+    from_gens = stdbasis._standard_basis_from_gens
+    calls = []
+
+    def recorded(gens):
+        calls.append(gens)
+        return from_gens(gens)
+
+    ks = range(9)
+    cases = failures = draws = 0
+    stdbasis._standard_basis_from_gens = recorded
+    try:
+        while cases < target:
+            J = Ideal(tuple(rand_poly(rng) for _ in range(rng.randint(1, 4))))
+            P = Ideal(tuple(rand_poly(rng) for _ in range(rng.randint(0, 2))))
+            if draws % 4 == 0:
+                h = rand_poly(rng)
+                J, P = Ideal(tuple(h * g for g in J.generators)), Ideal()
+            draws += 1
+            Jp, Pp = stdbasis._pack(J), stdbasis._pack(P)
+            cached.cache_clear()
+            answers = {k: colength(J, k, P) for k in rng.sample(ks, len(ks))}
+            cached.cache_clear()
+            for k in ks:
+                del calls[:]
+                sb = cached(Jp, k, Pp)  # the first miss is order k: k - 1 is present
+                if k:
+                    shifts = calls[0][: len(calls[0]) - len(Pp)]
+                    failures += len(set(shifts)) != len(shifts)
+                gens = (J * maximal_ideal_power(k) + P).generators
+                expanded = colength(Ideal(gens))
+                failures += sb.leading_monomials != leading_ideal(Ideal(gens))
+                failures += answers[k] != expanded or stdbasis._dim(sb) != expanded
+                failures += draws % 4 == 1 and expanded is not INFINITE
+                if is_finite(expanded) and expanded <= 20:
+                    failures += oracle_colength(list(gens), nmax=expanded + 2) != expanded
+                cases += 1
+    finally:
+        stdbasis._standard_basis_from_gens = from_gens
+        cached.cache_clear()
+    return cases, failures
+
+
 SUITES = {
     "lemma-3-1": run_lemma_31_suite,
     "lemma-3-2": run_lemma_32_suite,
@@ -583,6 +645,7 @@ SUITES = {
     "koszul-identity": run_koszul_identity_suite,
     "monomial-split": run_monomial_split_suite,
     "tail": run_tail_suite,
+    "seeded-route": run_seeded_route_suite,
 }
 
 
@@ -673,6 +736,11 @@ def test_monomial_split():
 
 def test_tail():
     cases, failures = run_tail_suite()
+    assert cases >= 200 and failures == 0
+
+
+def test_seeded_route():
+    cases, failures = run_seeded_route_suite()
     assert cases >= 200 and failures == 0
 
 

@@ -406,8 +406,9 @@ class TestCaches:
     def test_sweep_seeds_from_the_previous_k(self, monkeypatch):
         # a basis request for a cold k fills the entries for 0..k - 1 first:
         # the entry for 0 is the basis of J + (f), and each k > 0 starts from
-        # x*G, y*G and (f), G the basis for k - 1.  m^k * J is never expanded.
-        # (colength stops the fill at the first certified step instead.)
+        # the distinct elements of x*G and y*G, in the chain order of G, then
+        # (f), G the basis for k - 1.  m^k * J is never expanded.  (colength
+        # stops the fill at the first certified step instead.)
         calls = []
         from_gens = stdbasis._standard_basis_from_gens
 
@@ -427,12 +428,45 @@ class TestCaches:
             assert cached.cache_info()[:2] == (4, 6)  # k - 1 hits, k + 1 misses
             assert len(calls) == 6 and calls[0][0] == J + P
             assert colength(jac, 5, plus) == tau
+            repeats = 0
             for (_, prev), (gens, _) in zip(calls, calls[1:]):
-                shifted = tuple(stdbasis._shift(t, s) for s in (stdbasis._X, stdbasis._Y)
-                                for t in prev.packed)
-                assert gens == shifted + P and len(gens) == 2 * len(prev.packed) + 1
+                shifts = gens[:-1]
+                assert gens[-1:] == P and len(set(shifts)) == len(shifts)
+                assert set(shifts) == {stdbasis._shift(t, s) for s in (stdbasis._X, stdbasis._Y)
+                                       for t in prev.packed}
+                lms = [stdbasis._decode(t[0][0]) for t in shifts]  # by x up, then y down
+                assert lms == sorted(lms, key=lambda e: (e[0], -e[1]))
+                repeats += 2 * len(prev.packed) - len(shifts)
+            assert repeats  # x*g_i = y*g_(i+1) for some neighbours of some G
             assert [cached(J, k, P) for k in range(6)] == [sb for _, sb in calls]
             assert tau == colength(jac * maximal_ideal_power(5) + plus)
+        finally:
+            cached.cache_clear()
+
+    def test_infinite_order_zero_answers_every_order(self):
+        # m^k (x) + P with P in (x): every order is infinite, and colength
+        # reads that off the basis for order 0 without computing any other,
+        # cold or with order 0 cached; a basis request still fills every
+        # order.  (The split of the shared factor x keeps its cofactors'
+        # basis as an entry for order 0 too.)
+        cached = stdbasis._standard_basis_cached
+
+        def orders():
+            return sorted(key[1] for key in cached._entries)
+
+        cached.cache_clear()
+        try:
+            for plus in (Ideal(), Ideal.of(X * Y), Ideal.of(X * Y, X**2)):
+                J, P = stdbasis._pack(Ideal.of(X)), stdbasis._pack(plus)
+                assert colength(Ideal.of(X), 100, plus) is INFINITE
+                assert colength(Ideal.of(X), 50, plus) is INFINITE
+                assert set(orders()) == {0}
+                assert stdbasis._dim(cached(J, 5, P)) is INFINITE
+                assert orders()[-5:] == [1, 2, 3, 4, 5]
+                misses = cached.cache_info().misses
+                assert colength(Ideal.of(X), 5, plus) is INFINITE  # a hit
+                assert cached.cache_info().misses == misses
+                cached.cache_clear()
         finally:
             cached.cache_clear()
 
