@@ -52,9 +52,13 @@ def _natural(value, name: str, least: int = 0) -> int:
 
 
 class CurveGerm(_Value):
-    """The germ of a curve C = {f = 0} through the origin."""
+    """The germ of a curve C = {f = 0} through the origin.
 
-    _fields = __slots__ = ("f",)
+    ``_ideal`` keeps the ideal (f), which the queries along C read.
+    """
+
+    _fields = ("f",)
+    __slots__ = ("f", "_ideal")
 
     def __init__(self, f: Poly):
         if f.is_zero:
@@ -62,6 +66,7 @@ class CurveGerm(_Value):
         if f.constant_term() != 0:
             raise PreconditionError("a curve germ must pass through the origin")
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_ideal", Ideal.of(f))
 
     @property
     def multiplicity(self) -> int:
@@ -77,20 +82,24 @@ class Foliation(_Value):
 
     Coprimality (equivalently: the singular point is isolated) is part of the
     definition and is verified on construction -- colength((P,Q)) must be
-    finite.
+    finite.  ``_ideal`` keeps the ideal (P, Q) it was verified with, which
+    the queries of F read.
     """
 
-    _fields = __slots__ = ("P", "Q")
+    _fields = ("P", "Q")
+    __slots__ = ("P", "Q", "_ideal")
 
     def __init__(self, P: Poly, Q: Poly):
         if P.is_zero and Q.is_zero:
             raise PreconditionError("a foliation needs P, Q not both zero")
-        if not is_finite(colength(Ideal.of(P, Q))):
+        ideal = Ideal.of(P, Q)
+        if not is_finite(colength(ideal)):
             raise PreconditionError(
                 "P and Q share a factor through the origin (singularity not isolated)"
             )
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "_ideal", ideal)
 
     @property
     def multiplicity(self) -> int:
@@ -160,14 +169,14 @@ def tjurina_k(f: Poly, k: int):
 def foliation_milnor_k(F: Foliation, k: int):
     """mu^k(F) = dim O/((P,Q) * m^k); always finite for a valid foliation."""
     _natural(k, "k")
-    return colength(Ideal.of(F.P, F.Q), k)
+    return colength(F._ideal, k)
 
 
 def foliation_tjurina_k(F: Foliation, C: CurveGerm, k: int):
     """tau^k(F,C) = dim O/((P,Q) * m^k + (f)) for C invariant by F."""
     _natural(k, "k")
     _require_invariant(F, C)
-    return colength(Ideal.of(F.P, F.Q), k, Ideal.of(C.f))
+    return colength(F._ideal, k, C._ideal)
 
 
 def intersection_number(f: Poly, g: Poly):
@@ -183,7 +192,7 @@ def is_invariant(F: Foliation, C: CurveGerm) -> bool:
     """
     f = C.f
     w = F.P * f.partial_y() - F.Q * f.partial_x()
-    return contains(Ideal.of(f), w)
+    return contains(C._ideal, w)
 
 
 def _require_invariant(F: Foliation, C: CurveGerm) -> None:
@@ -433,7 +442,7 @@ def ratio_check(f: Poly, k: int):
 def is_quasihomogeneous_foliation(F: Foliation, C: CurveGerm) -> bool:
     """Whether f lies in (P, Q) -- the quasi-homogeneity membership test."""
     _require_invariant(F, C)
-    return contains(Ideal.of(F.P, F.Q), C.f)
+    return contains(F._ideal, C.f)
 
 
 def milnor_bound_check(F: Foliation, B0: CurveGerm, k: int):

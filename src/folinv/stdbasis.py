@@ -27,6 +27,7 @@ from collections import OrderedDict, namedtuple
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from math import gcd
+from operator import attrgetter
 from typing import Callable
 
 from .ring import (
@@ -394,22 +395,27 @@ class _Value:
 
     A subclass names its fields in ``_fields``, and in ``__slots__`` unless
     it needs a ``__dict__``, and sets them in ``__init__`` through
-    ``object.__setattr__``, as :class:`~folinv.ring.Poly` does.
+    ``object.__setattr__``, as :class:`~folinv.ring.Poly` does.  Other slots
+    may keep forms made from the fields; equality, hashing, pickle and copy
+    read the fields alone, through ``_key``, one ``attrgetter`` made with
+    the class: the field itself for one field, else the tuple of them.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -421,27 +427,44 @@ class _Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # pickle and copy rebuild the value through __init__
-        return type(self), self._key()
+        # pickle and copy rebuild the value through __init__, which makes
+        # its own kept forms
+        key = self._key(self)
+        return type(self), key if len(self._fields) > 1 else (key,)
 
 
 class Ideal(_Value):
-    """Finitely generated ideal of the local ring; zero generators are dropped."""
+    """Finitely generated ideal of the local ring; zero generators are dropped.
 
-    _fields = __slots__ = ("generators",)
+    ``_packed`` keeps the term lists (prim) of the generators, the form
+    :func:`colength` and the basis cache read, made once with the value.
+    """
+
+    _fields = ("generators",)
+    __slots__ = ("generators", "_packed")
 
     def __init__(self, generators: tuple[Poly, ...] = ()):
-        gens = tuple(g for g in generators if not g.is_zero)
-        object.__setattr__(self, "generators", gens)
+        gens, packed = [], []
+        for g in generators:
+            t = g.prim
+            if t:
+                gens.append(g)
+                packed.append(t)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_packed", tuple(packed))
 
     @classmethod
     def of(cls, *polys: Poly) -> "Ideal":
-        return cls(tuple(polys))
+        return cls(polys)
 
     def __add__(self, other: "Ideal") -> "Ideal":
+        if not isinstance(other, Ideal):
+            return NotImplemented
         return Ideal(self.generators + other.generators)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
+        if not isinstance(other, Ideal):
+            return NotImplemented
         return Ideal(
             tuple(g * h for g in self.generators for h in other.generators)
         )
@@ -900,10 +923,9 @@ def _standard_basis_from_gens(packed: tuple) -> StandardBasis:
 
 
 def _pack(ideal: "Ideal | None") -> tuple:
-    """The term lists (prim) of an ideal's generators; None is the zero ideal."""
-    if ideal is None:
-        return ()
-    return tuple(g.prim for g in ideal.generators)
+    """The term lists (prim) of an ideal's generators, as the ideal keeps
+    them; None is the zero ideal."""
+    return () if ideal is None else ideal._packed
 
 
 def _shift(t, code: int) -> tuple:

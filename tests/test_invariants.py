@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from folinv import invariants
+from folinv import invariants, stdbasis
 from folinv.ring import Poly, X, Y
 from folinv.stdbasis import INFINITE, Ideal, colength, maximal_ideal_power
 from folinv.invariants import (
@@ -131,6 +131,85 @@ class TestCurveAndFoliationTypes:
         assert is_invariant(hamiltonian(F_RUN), curve(F_RUN))
         assert is_invariant(hamiltonian(F_RUN), curve(F_RUN))
         assert is_invariant.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+# One-field and two-field values, with and without kept forms.
+KEPT_VALUES = [
+    lambda: Ideal.of(F_RUN, X * Y),
+    lambda: curve(F_RUN),
+    lambda: Foliation(4 * X * Y, Y - Fraction(2, 3) * X**2),
+    lambda: ReducedSingularityKind(2),
+]
+KEPT_IDS = ["Ideal", "CurveGerm", "Foliation", "ReducedSingularityKind"]
+
+
+def _kept(value) -> list:
+    """The slots of a value that keep forms made from its fields."""
+    return [name for name in type(value).__slots__ if name not in value._fields]
+
+
+@pytest.mark.parametrize("make", KEPT_VALUES, ids=KEPT_IDS)
+class TestKeptForms:
+    def test_kept_forms_never_reach_the_value(self, make):
+        one, two = make(), make()
+        for name in _kept(two):
+            object.__setattr__(two, name, None)
+        assert one == two and hash(one) == hash(two) and repr(one) == repr(two)
+        assert one.__reduce__() == two.__reduce__()
+        for copied in (
+            pickle.loads(pickle.dumps(two)),
+            copy.copy(two),
+            copy.deepcopy(two),
+        ):
+            assert copied == one and type(copied) is type(one)
+            for name in _kept(one):  # each copy builds its own
+                assert getattr(copied, name) == getattr(one, name)
+
+    def test_no_attribute_can_be_set_or_deleted(self, make):
+        value = make()
+        for name in (*type(value).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+
+def test_a_warm_sweep_builds_nothing(monkeypatch):
+    # along a sweep over k, a second pass is all cache hits: it computes no
+    # basis, and tau^k(F, C) builds no ideal but hands colength the ideals
+    # that F and C keep
+    f = X**5 - Y**7 + 2 * X**2 * Y**3
+    F, C = hamiltonian(f), curve(f)
+    cached = stdbasis._standard_basis_cached
+    cached.cache_clear()
+    try:
+        cold = [
+            (milnor_k(f, k), tjurina_k(f, k), foliation_tjurina_k(F, C, k))
+            for k in range(13)
+        ]
+        misses = cached.cache_info().misses
+        built, handed = [], []
+        init, entry = Ideal.__init__, invariants.colength
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def handed_on(ideal, k=0, plus=None):
+            handed.append((ideal, plus))
+            return entry(ideal, k, plus)
+
+        monkeypatch.setattr(Ideal, "__init__", counted_init)
+        monkeypatch.setattr(invariants, "colength", handed_on)
+        for k in range(13):
+            assert (milnor_k(f, k), tjurina_k(f, k)) == cold[k][:2]
+            before = len(built)
+            assert foliation_tjurina_k(F, C, k) == cold[k][2]
+            assert len(built) == before
+            assert handed[-1][0] is F._ideal and handed[-1][1] is C._ideal
+        assert cached.cache_info().misses == misses
+    finally:
+        cached.cache_clear()
 
 
 class TestCurveInvariants:

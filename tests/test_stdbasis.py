@@ -1453,9 +1453,14 @@ class TestIdealType:
     def test_zero_generators_dropped(self):
         ideal = Ideal.of(Poly.zero(), X, Poly.zero())
         assert ideal.generators == (X,)
+        # the kept term lists drop the same zeros
+        ideal = Ideal.of(Poly.zero(), X)
+        assert ideal.generators == (X,) and ideal._packed == (X.prim,)
+        assert stdbasis._pack(ideal) is ideal._packed
 
     def test_zero_ideal(self):
         assert Ideal.of(Poly.zero()).generators == ()
+        assert Ideal.of(Poly.zero())._packed == ()
         assert Ideal.of(X).generators == (X,)
 
     def test_operators(self):
@@ -1463,6 +1468,15 @@ class TestIdealType:
         assert set(s.generators) == {X, Y}
         p = Ideal.of(X, Y) * Ideal.of(X)
         assert set(p.generators) == {X**2, X * Y}
+
+    def test_foreign_operands_are_refused(self):
+        # a non-Ideal operand is not implemented, as for Poly's operators, so
+        # Python raises TypeError on either side
+        J = Ideal.of(X, Y)
+        assert J.__mul__(X) is NotImplemented and J.__add__(3) is NotImplemented
+        for op in (lambda: J * X, lambda: J + 3, lambda: X * J):
+            with pytest.raises(TypeError):
+                op()
 
     def test_repr(self):
         assert repr(Ideal.of(X, Y)) == "Ideal(x, y)"
